@@ -9,20 +9,12 @@ For an odd prime p = 3 (mod 4):
 
 are integers with exact closed forms in residue counts, and C(p) carries
 the class number.  Every identity here is computed by at least two
-independent routes (integer formulas, brute-force enumeration, compensated
-floating-point evaluation) and the routes are compared.
+independent routes (integer formulas, brute-force enumeration, correctly
+rounded floating-point evaluation) and the routes are compared.
 """
 
-from .arith import InvariantError, OddPrime, is_prime, legendre, mod_pow, primes_in_range
-from .residues import (
-    ResidueProfile,
-    a_sum,
-    even_half_counts,
-    interval_sums,
-    m_sum,
-    quadratic_residues,
-    residue_profile,
-)
+from .arith import InvariantError, OddPrime, is_prime, legendre, primes_in_range
+from .residues import ResidueProfile, residue_profile
 from .sums import (
     ERRATA,
     Erratum,
@@ -37,9 +29,7 @@ from .sums import (
     t_from_m,
 )
 from .classnum import (
-    ClassRecord,
     ReducedForm,
-    class_record,
     h_from_forms,
     h_from_residues,
     reduced_forms,
@@ -50,7 +40,6 @@ from .analytic import (
     bound_harmonic,
     bound_pv,
     c_float,
-    compensated_sum,
     gauss_sum_checks,
     gauss_sum_float,
     gauss_tolerance,
@@ -59,14 +48,13 @@ from .analytic import (
     t_float,
     whiteman_sum,
 )
-from .scan import CSV_HEADER, ScanRow, compute_row, row_as_dict, scan_rows
+from .scan import CSV_HEADER, compute_row, row_as_dict, scan_rows
 from .verify import ErratumConfirmation, Failure, VerifyReport, confirm_errata, run_verify
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CSV_HEADER",
-    "ClassRecord",
     "ERRATA",
     "Erratum",
     "ErratumConfirmation",
@@ -76,36 +64,27 @@ __all__ = [
     "OddPrime",
     "ReducedForm",
     "ResidueProfile",
-    "ScanRow",
     "SumRecord",
     "VerifyReport",
-    "a_sum",
     "berndt_m_float",
     "bound_harmonic",
     "bound_pv",
     "c_exact",
     "c_float",
-    "class_record",
-    "compensated_sum",
     "compute_row",
     "confirm_errata",
-    "even_half_counts",
     "gauss_sum_checks",
     "gauss_sum_float",
     "gauss_tolerance",
     "h_from_forms",
     "h_from_residues",
-    "interval_sums",
     "is_prime",
     "legendre",
     "lebesgue_float",
-    "m_sum",
-    "mod_pow",
     "primes_in_range",
     "published_t3",
     "published_t5",
     "published_t_from_m",
-    "quadratic_residues",
     "reduced_forms",
     "residue_profile",
     "row_as_dict",

@@ -8,7 +8,7 @@ Angles are always formed from exactly reduced integers: tan(pi n^2 / p) is
 evaluated as tan(pi * (n^2 mod p) / p), never from the unreduced product
 pi * n^2.  Terms with argument near pi/2 reach magnitude ~2p/pi and
 dominate the rounding budget, which is why the scalar tolerance scales like
-p^(3/2) * (1 + ln p).  Summation is compensated (Kahan-Babuska) throughout.
+p^(3/2) * (1 + ln p).  Every sum is math.fsum, so it is correctly rounded.
 """
 
 from __future__ import annotations
@@ -21,21 +21,6 @@ from .arith import OddPrime, legendre
 from .classnum import h_from_forms
 from .residues import ResidueProfile, residue_profile
 from .sums import c_exact, t_exact
-
-
-def compensated_sum(values: Iterable[float]) -> float:
-    """Kahan-Babuska (Neumaier) summation: the rounding error of every
-    addition is recovered exactly and re-added at the end."""
-    total = 0.0
-    carry = 0.0
-    for v in values:
-        t = total + v
-        if abs(total) >= abs(v):
-            carry += (total - t) + v
-        else:
-            carry += (v - t) + total
-        total = t
-    return total + carry
 
 
 def sum_tolerance(p: int) -> float:
@@ -95,7 +80,7 @@ def t_float(p: OddPrime, profile: ResidueProfile | None = None) -> FloatCheckRes
     """
     pv = p.value
     pi = math.pi
-    total = compensated_sum(
+    total = math.fsum(
         math.tan(pi * (n * n % pv) / pv) for n in range(1, (pv - 1) // 2 + 1)
     )
     computed = math.sqrt(pv) * total
@@ -107,7 +92,7 @@ def c_float(p: OddPrime, profile: ResidueProfile | None = None) -> FloatCheckRes
     """sqrt(p) * sum cot(pi n^2 / p) over n = 1 .. (p-1)/2, any odd prime."""
     pv = p.value
     pi = math.pi
-    total = compensated_sum(
+    total = math.fsum(
         1.0 / math.tan(pi * (n * n % pv) / pv) for n in range(1, (pv - 1) // 2 + 1)
     )
     computed = math.sqrt(pv) * total
@@ -124,7 +109,7 @@ def whiteman_sum(p: OddPrime, profile: ResidueProfile | None = None) -> FloatChe
     """
     pv = p.value
     pi = math.pi
-    computed = compensated_sum(
+    computed = math.fsum(
         1.0 / math.tan(pi * (n * n % pv) / pv) for n in range(1, pv)
     )
     ref = 2.0 * c_exact(p, profile) / math.sqrt(pv)
@@ -138,25 +123,9 @@ def _unit_roots(pv: int) -> list[complex]:
 
 
 def _compensated_complex(values: Iterable[complex]) -> complex:
-    tr = 0.0
-    cr = 0.0
-    ti = 0.0
-    ci = 0.0
-    for v in values:
-        x, y = v.real, v.imag
-        t = tr + x
-        if abs(tr) >= abs(x):
-            cr += (tr - t) + x
-        else:
-            cr += (x - t) + tr
-        tr = t
-        t = ti + y
-        if abs(ti) >= abs(y):
-            ci += (ti - t) + y
-        else:
-            ci += (y - t) + ti
-        ti = t
-    return complex(tr + cr, ti + ci)
+    # real and imaginary parts each correctly rounded
+    terms = list(values)
+    return complex(math.fsum(v.real for v in terms), math.fsum(v.imag for v in terms))
 
 
 def gauss_sum_float(k: int, p: OddPrime,
@@ -206,7 +175,7 @@ def lebesgue_float(p: OddPrime, profile: ResidueProfile | None = None) -> FloatC
     pv = p.value
     pi = math.pi
     table = prof.qr_table
-    total = compensated_sum(
+    total = math.fsum(
         (1.0 if table[k] else -1.0) / math.tan(pi * k / pv) for k in range(1, pv)
     )
     unit = 3.0 if pv == 3 else 1.0
@@ -225,7 +194,7 @@ def berndt_m_float(p: OddPrime, profile: ResidueProfile | None = None) -> FloatC
     pv = p.value
     pi = math.pi
     table = prof.qr_table
-    total = compensated_sum(
+    total = math.fsum(
         (1.0 if table[k] else -1.0) / math.tan(pi * k / pv) for k in range(1, pv)
     )
     computed = math.sqrt(pv) / 2.0 * total

@@ -124,30 +124,3 @@ def h_from_residues(p: OddPrime, profile: ResidueProfile | None = None) -> int:
     if h <= 0:
         raise InvariantError(f"nonpositive class number {h} at p={p.value}")
     return h
-
-
-@dataclass(frozen=True)
-class ClassRecord:
-    """Both exact class number routes, plus an optional float estimate
-    supplied by the caller (the analytic layer computes it)."""
-
-    p: OddPrime
-    forms: tuple[ReducedForm, ...]
-    h_forms: int
-    h_residues: int
-    h_float: float | None = None
-
-
-def class_record(
-    p: OddPrime,
-    profile: ResidueProfile | None = None,
-    h_float: float | None = None,
-) -> ClassRecord:
-    forms = tuple(reduced_forms(p))
-    return ClassRecord(
-        p=p,
-        forms=forms,
-        h_forms=len(forms),
-        h_residues=h_from_residues(p, profile),
-        h_float=h_float,
-    )

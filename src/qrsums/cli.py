@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import IO
 
@@ -108,8 +109,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     prof = residue_profile(p)
     rec = sum_record(p, prof)
-    row = scan.compute_row(p)
-    fields = scan.row_as_dict(row)
+    fields = scan.row_as_dict(scan.row_values(p, prof, rec, h_from_forms(p)))
     checks = []
     if args.float:
         checks = [
@@ -251,6 +251,13 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantError as exc:
         sys.stderr.write(f"qrsums: internal invariant violation: {exc}\n")
         return EXIT_INTERNAL
+    except BrokenPipeError:
+        # the reader closed stdout early (`qrsums scan ... | head`); point fd 1
+        # at devnull so the interpreter's final flush has nowhere to fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_FAILURE
 
 
 if __name__ == "__main__":

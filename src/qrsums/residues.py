@@ -62,12 +62,6 @@ def _require_class3(p: OddPrime) -> None:
         raise ValueError(f"p = {p.value} is 1 (mod 4); statistics need p = 3 (mod 4)")
 
 
-def quadratic_residues(p: OddPrime) -> set[int]:
-    """The set of quadratic residues mod p in [1, p-1] (any odd prime)."""
-    pv = p.value
-    return {j * j % pv for j in range(1, (pv - 1) // 2 + 1)}
-
-
 def residue_profile(p: OddPrime) -> ResidueProfile:
     """Build the full statistics table for p = 3 (mod 4) in O(p)."""
     _require_class3(p)
@@ -98,35 +92,3 @@ def residue_profile(p: OddPrime) -> ResidueProfile:
         a_sum=a,
         m_sum=m,
     )
-
-
-def interval_sums(p: OddPrime, profile: ResidueProfile | None = None) -> tuple[int, int]:
-    """(s_low, s_high).  One is zero and the other strictly positive:
-    s_low = 0 for p = 3 (mod 8), s_high = 0 for p = 7 (mod 8)."""
-    prof = profile or residue_profile(p)
-    return prof.s_low, prof.s_high
-
-
-def even_half_counts(p: OddPrime, profile: ResidueProfile | None = None) -> tuple[int, int]:
-    """(#even residues below p/2, #even residues above p/2).
-
-    Closed forms: the below-count is (p-3)/8 for p = 3 (mod 8) and the
-    above-count is (p+1)/8 for p = 7 (mod 8).
-    """
-    prof = profile or residue_profile(p)
-    return prof.even_below_half, prof.even_above_half
-
-
-def m_sum(p: OddPrime, profile: ResidueProfile | None = None) -> int:
-    """sum of chi(k)*k over [1, p-1]; strictly negative for p = 3 (mod 4)."""
-    prof = profile or residue_profile(p)
-    return prof.m_sum
-
-
-def a_sum(p: OddPrime, profile: ResidueProfile | None = None) -> int:
-    """sum of chi(k) over odd k in [1, p-2].
-
-    Satisfies a_sum = -chi(2) * (s_low + s_high).
-    """
-    prof = profile or residue_profile(p)
-    return prof.a_sum

@@ -9,55 +9,36 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
 from .arith import OddPrime, primes_in_range
 from .classnum import h_from_forms
-from .residues import residue_profile
-from .sums import sum_record
+from .residues import ResidueProfile, residue_profile
+from .sums import SumRecord, sum_record
 
-CSV_HEADER = "p,class_mod8,q_o,q_e,A,M,T,C,h,s_low,s_high,even_lo,even_hi"
+COLUMNS = ("p", "class_mod8", "q_o", "q_e", "A", "M", "T", "C", "h",
+           "s_low", "s_high", "even_lo", "even_hi")
+CSV_HEADER = ",".join(COLUMNS)
 
-
-@dataclass(frozen=True)
-class ScanRow:
-    p: int
-    class_mod8: int
-    q_o: int
-    q_e: int
-    a_value: int
-    m_value: int
-    t_value: int
-    c_value: int
-    h: int
-    s_low: int
-    s_high: int
-    even_below_half: int
-    even_above_half: int
+# one row: the thirteen integers named by COLUMNS, in that order
+Row = tuple[int, ...]
 
 
-def compute_row(p: OddPrime) -> ScanRow:
-    prof = residue_profile(p)
-    rec = sum_record(p, prof)
-    return ScanRow(
-        p=p.value,
-        class_mod8=p.class_mod8,
-        q_o=prof.q_o,
-        q_e=prof.q_e,
-        a_value=rec.a_value,
-        m_value=rec.m_value,
-        t_value=rec.t_value,
-        c_value=rec.c_value,
-        h=h_from_forms(p),
-        s_low=prof.s_low,
-        s_high=prof.s_high,
-        even_below_half=prof.even_below_half,
-        even_above_half=prof.even_above_half,
+def row_values(p: OddPrime, prof: ResidueProfile, rec: SumRecord, h: int) -> Row:
+    """The row of p from its already computed profile, sum record and h."""
+    return (
+        p.value, p.class_mod8, prof.q_o, prof.q_e, rec.a_value, rec.m_value,
+        rec.t_value, rec.c_value, h, prof.s_low, prof.s_high,
+        prof.even_below_half, prof.even_above_half,
     )
 
 
-def _rows_for_block(block: tuple[int, int]) -> list[ScanRow]:
+def compute_row(p: OddPrime) -> Row:
+    prof = residue_profile(p)
+    return row_values(p, prof, sum_record(p, prof), h_from_forms(p))
+
+
+def _rows_for_block(block: tuple[int, int]) -> list[Row]:
     lo, hi = block
     return [compute_row(p) for p in primes_in_range(lo, hi, mod4=3)]
 
@@ -70,7 +51,7 @@ def _blocks(lo: int, hi: int, jobs: int) -> list[tuple[int, int]]:
     return [(a, min(a + width - 1, hi)) for a in range(lo, hi + 1, width)]
 
 
-def scan_rows(lo: int, hi: int, jobs: int = 1) -> Iterator[ScanRow]:
+def scan_rows(lo: int, hi: int, jobs: int = 1) -> Iterator[Row]:
     """Rows for all primes p = 3 (mod 4) in [lo, hi], ascending."""
     lo = max(lo, 3)
     if hi < lo:
@@ -84,32 +65,18 @@ def scan_rows(lo: int, hi: int, jobs: int = 1) -> Iterator[ScanRow]:
             yield from rows
 
 
-def row_as_dict(row: ScanRow) -> dict[str, int]:
+def row_as_dict(row: Row) -> dict[str, int]:
     """Field order and names match the CSV columns."""
-    return {
-        "p": row.p,
-        "class_mod8": row.class_mod8,
-        "q_o": row.q_o,
-        "q_e": row.q_e,
-        "A": row.a_value,
-        "M": row.m_value,
-        "T": row.t_value,
-        "C": row.c_value,
-        "h": row.h,
-        "s_low": row.s_low,
-        "s_high": row.s_high,
-        "even_lo": row.even_below_half,
-        "even_hi": row.even_above_half,
-    }
+    return dict(zip(COLUMNS, row))
 
 
-def write_csv(rows: Iterable[ScanRow], fh: IO[str]) -> None:
+def write_csv(rows: Iterable[Row], fh: IO[str]) -> None:
     fh.write(CSV_HEADER + "\n")
     for row in rows:
-        fh.write(",".join(str(v) for v in row_as_dict(row).values()) + "\n")
+        fh.write(",".join(map(str, row)) + "\n")
 
 
-def write_json(rows: Iterable[ScanRow], fh: IO[str]) -> None:
+def write_json(rows: Iterable[Row], fh: IO[str]) -> None:
     fh.write("[")
     first = True
     for row in rows:

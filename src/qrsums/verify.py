@@ -20,7 +20,7 @@ from typing import Any, NamedTuple
 from . import analytic
 from .arith import OddPrime, primes_in_range
 from .classnum import h_from_forms, h_from_residues
-from .residues import residue_profile
+from .residues import ResidueProfile, residue_profile
 from .sums import ERRATA, sum_record, t_exact, t_from_m
 
 ERRATA_PRIMES = (7, 11)
@@ -75,7 +75,8 @@ class _Recorder:
             self.failures.append(Failure(p, check, "holds", detail or "violated"))
 
 
-def _check_exact(p: OddPrime, rec: _Recorder) -> None:
+def _check_exact(p: OddPrime, rec: _Recorder) -> tuple[ResidueProfile, int]:
+    """Run the exact suite; return the profile and forms-route h it built."""
     pv = p.value
     prof = residue_profile(p)
     sums = sum_record(p, prof)
@@ -171,14 +172,16 @@ def _check_exact(p: OddPrime, rec: _Recorder) -> None:
     rec.expect_true(pv, hb.name, hb.passed, (hb.reference, hb.computed))
     pvb = analytic.bound_pv(p, prof)
     rec.expect_true(pv, pvb.name, pvb.passed, (pvb.reference, pvb.computed))
+    return prof, hf
 
 
 def _float_detail(r: analytic.FloatCheckResult) -> tuple:
     return (r.computed, r.reference, r.residual, r.tolerance)
 
 
-def _check_float_class3(p: OddPrime, rec: _Recorder) -> None:
-    prof = residue_profile(p)
+def _check_float_class3(
+    p: OddPrime, rec: _Recorder, prof: ResidueProfile, h: int
+) -> None:
     tf = analytic.t_float(p, prof)
     rec.expect_true(p.value, tf.name, tf.passed, _float_detail(tf))
     gap = prof.q_o - prof.q_e
@@ -191,7 +194,7 @@ def _check_float_class3(p: OddPrime, rec: _Recorder) -> None:
         analytic.berndt_m_float(p, prof),
     ):
         rec.expect_true(p.value, r.name, r.passed, _float_detail(r))
-    rec.expect(p.value, "lebesgue_rounds_to_h", h_from_forms(p), round(leb.computed))
+    rec.expect(p.value, "lebesgue_rounds_to_h", h, round(leb.computed))
     if p.value <= GAUSS_CAP:
         for g in analytic.gauss_sum_checks(p):
             rec.expect_true(p.value, g.name, g.passed, _float_detail(g))
@@ -241,9 +244,9 @@ def run_verify(
     rec = _Recorder()
     primes3 = primes_in_range(max(lo, 3), hi, mod4=3)
     for p in primes3:
-        _check_exact(p, rec)
+        prof, h = _check_exact(p, rec)
         if with_float and p.value <= float_cap:
-            _check_float_class3(p, rec)
+            _check_float_class3(p, rec, prof, h)
     if with_float and min(hi, float_cap) >= lo:
         for p in primes_in_range(max(lo, 3), min(hi, float_cap), mod4=1):
             _check_float_class1(p, rec)

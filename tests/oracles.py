@@ -9,14 +9,6 @@ two different computation routes.
 from math import gcd, isqrt
 
 
-def naive_mod_pow(base, exponent, modulus):
-    # repeated multiplication, no binary exponentiation
-    acc = 1 % modulus
-    for _ in range(exponent):
-        acc = acc * base % modulus
-    return acc
-
-
 def trial_is_prime(n):
     if n < 2:
         return False

@@ -1,7 +1,6 @@
 """Floating-point layer: defining expressions against exact references."""
 
 import math
-import random
 
 import pytest
 
@@ -11,13 +10,11 @@ from qrsums import (
     bound_harmonic,
     bound_pv,
     c_float,
-    compensated_sum,
     gauss_sum_checks,
     gauss_sum_float,
     gauss_tolerance,
     h_from_forms,
     lebesgue_float,
-    m_sum,
     primes_in_range,
     residue_profile,
     sum_tolerance,
@@ -27,16 +24,7 @@ from qrsums import (
 )
 
 
-# ---- summation and tolerance policy --------------------------------------
-
-def test_compensated_sum_matches_fsum():
-    rng = random.Random(7)
-    for scale in (1.0, 1e8, 1e-8):
-        xs = [rng.uniform(-scale, scale) for _ in range(5000)]
-        assert compensated_sum(xs) == pytest.approx(math.fsum(xs), abs=1e-9 * scale)
-    assert compensated_sum([]) == 0.0
-    assert compensated_sum([0.1] * 1000) == pytest.approx(100.0, abs=1e-12)
-
+# ---- tolerance policy --------------------------------------
 
 def test_tolerance_policy():
     assert sum_tolerance(3) == pytest.approx(1e-9 * 3**1.5 * (1 + math.log(3)))
@@ -138,7 +126,7 @@ def test_berndt_matches_minus_m():
         p = OddPrime(pv)
         r = berndt_m_float(p)
         assert r.passed
-        assert r.reference == -m_sum(p)
+        assert r.reference == -residue_profile(p).m_sum
 
 
 def test_berndt_equals_p_h_beyond_three():

@@ -1,45 +1,12 @@
-"""Substrate tests: mod_pow, is_prime, OddPrime, legendre, primes_in_range."""
+"""Substrate tests: is_prime, OddPrime, legendre, primes_in_range."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrsums import OddPrime, is_prime, legendre, mod_pow, primes_in_range
+from qrsums import OddPrime, is_prime, legendre, primes_in_range
 
-from oracles import legendre_euler, naive_mod_pow, sieve_flags, square_set, trial_is_prime
-
-
-# ---- mod_pow -------------------------------------------------------------
-
-def test_mod_pow_spot():
-    assert mod_pow(2, 10, 1000) == 24
-    assert mod_pow(3, 0, 7) == 1
-    assert mod_pow(0, 5, 7) == 0
-    assert mod_pow(5, 3, 13) == 125 % 13
-
-
-def test_mod_pow_rejects_bad_modulus():
-    with pytest.raises(ValueError):
-        mod_pow(2, 3, 1)
-    with pytest.raises(ValueError):
-        mod_pow(2, 3, 0)
-    with pytest.raises(ValueError):
-        mod_pow(2, -1, 7)
-
-
-@given(
-    base=st.integers(min_value=0, max_value=10_000),
-    exponent=st.integers(min_value=0, max_value=300),
-    modulus=st.integers(min_value=2, max_value=10_000),
-)
-def test_mod_pow_matches_naive(base, exponent, modulus):
-    assert mod_pow(base, exponent, modulus) == naive_mod_pow(base, exponent, modulus)
-
-
-def test_mod_pow_huge_operands():
-    # arbitrary precision: no intermediate overflow possible
-    m = (1 << 61) - 1
-    assert mod_pow(2, m - 1, m) == 1  # Fermat, m is prime
+from oracles import legendre_euler, sieve_flags, square_set, trial_is_prime
 
 
 # ---- is_prime ------------------------------------------------------------

@@ -6,7 +6,6 @@ from qrsums import (
     OddPrime,
     ReducedForm,
     c_exact,
-    class_record,
     h_from_forms,
     h_from_residues,
     primes_in_range,
@@ -110,12 +109,3 @@ def test_h_at_three_carries_unit_factor():
     # -3 field scale the count formula back to the true value 1
     assert h_from_residues(OddPrime(3)) == 1
     assert h_from_forms(OddPrime(3)) == 1
-
-
-def test_class_record():
-    rec = class_record(OddPrime(23))
-    assert rec.h_forms == rec.h_residues == 3
-    assert len(rec.forms) == 3
-    assert rec.h_float is None
-    rec2 = class_record(OddPrime(23), h_float=3.0000001)
-    assert rec2.h_float == pytest.approx(3.0, abs=1e-5)

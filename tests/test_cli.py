@@ -1,11 +1,16 @@
 """Command line behavior: formats, determinism, exit codes."""
 
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 
+import pytest
+
 from qrsums import CSV_HEADER, InvariantError, OddPrime, compute_row, row_as_dict, scan_rows
 from qrsums import cli
+from qrsums import scan as scan_mod
 from qrsums import verify as verify_mod
 
 EXPECTED_SCAN_3_12 = (
@@ -42,9 +47,9 @@ def test_compute_row_spot():
 
 
 def test_scan_rows_values():
-    rows = list(scan_rows(3, 12))
-    assert [r.p for r in rows] == [3, 7, 11]
-    assert [(r.t_value, r.c_value, r.h) for r in rows] == [(3, 1, 1), (-7, 7, 1), (33, 11, 1)]
+    rows = [row_as_dict(r) for r in scan_rows(3, 12)]
+    assert [r["p"] for r in rows] == [3, 7, 11]
+    assert [(r["T"], r["C"], r["h"]) for r in rows] == [(3, 1, 1), (-7, 7, 1), (33, 11, 1)]
 
 
 def test_scan_rows_parallel_equal():
@@ -205,6 +210,36 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(verify_mod, "run_verify", boom)
     assert run_cli("verify", "--from", "3", "--to", "100") == 2
     assert "internal invariant violation" in capsys.readouterr().err
+
+
+def test_internal_error_in_scan_worker(monkeypatch, capsys):
+    # workers fork from this process, so they inherit the patched compute_row
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("needs fork-started workers to inherit the patch")
+    parent = os.getpid()
+
+    def boom(p):
+        raise InvariantError(f"forced in pid {os.getpid()}")
+
+    monkeypatch.setattr(scan_mod, "compute_row", boom)
+    assert run_cli("scan", "--from", "3", "--to", "200", "--jobs", "2") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qrsums: internal invariant violation: forced in pid ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert int(err.split()[-1]) != parent
+
+
+def test_broken_pipe_exits_quietly():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qrsums", "scan", "--from", "3", "--to", "30000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().decode().strip() == CSV_HEADER
+    proc.stdout.close()  # the reader goes away, as `| head -1` would
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 def test_console_entry_point():

@@ -2,32 +2,26 @@
 
 import pytest
 
-from qrsums import (
-    OddPrime,
-    a_sum,
-    even_half_counts,
-    interval_sums,
-    m_sum,
-    primes_in_range,
-    quadratic_residues,
-    residue_profile,
-)
+from qrsums import OddPrime, primes_in_range, residue_profile
 
 from oracles import LARGE_SAMPLE, residue_stats, square_set
 
 
+def residue_set(pv):
+    table = residue_profile(OddPrime(pv)).qr_table
+    return {k for k in range(1, pv) if table[k]}
+
+
 def test_quadratic_residue_sets():
-    assert quadratic_residues(OddPrime(7)) == {1, 2, 4}
-    assert quadratic_residues(OddPrime(11)) == {1, 3, 4, 5, 9}
-    assert quadratic_residues(OddPrime(23)) == {1, 2, 3, 4, 6, 8, 9, 12, 13, 16, 18}
-    assert quadratic_residues(OddPrime(3)) == {1}
-    # works for p = 1 (mod 4) too
-    assert quadratic_residues(OddPrime(13)) == {1, 3, 4, 9, 10, 12}
+    assert residue_set(7) == {1, 2, 4}
+    assert residue_set(11) == {1, 3, 4, 5, 9}
+    assert residue_set(23) == {1, 2, 3, 4, 6, 8, 9, 12, 13, 16, 18}
+    assert residue_set(3) == {1}
 
 
 def test_quadratic_residue_count():
-    for p in primes_in_range(3, 500):
-        assert len(quadratic_residues(p)) == (p.value - 1) // 2
+    for p in primes_in_range(3, 500, mod4=3):
+        assert len(residue_set(p.value)) == (p.value - 1) // 2
 
 
 def test_profile_spot_values():
@@ -72,20 +66,8 @@ def test_profile_table_and_chi():
 
 
 def test_profile_rejects_class1():
-    for fn in (residue_profile, m_sum, a_sum, interval_sums, even_half_counts):
-        with pytest.raises(ValueError):
-            fn(OddPrime(13))
-
-
-def test_standalone_accessors_match_profile():
-    p = OddPrime(23)
-    prof = residue_profile(p)
-    assert interval_sums(p) == (prof.s_low, prof.s_high) == (3, 0)
-    assert even_half_counts(p) == (4, 3)
-    assert m_sum(p) == -69
-    assert a_sum(p) == -3
-    assert m_sum(OddPrime(3)) == -1
-    assert a_sum(OddPrime(3)) == 1
+    with pytest.raises(ValueError):
+        residue_profile(OddPrime(13))
 
 
 def test_profile_matches_oracle_small():

@@ -79,7 +79,14 @@ def _print_check(r: analytic.FloatCheckResult, fh: IO[str]) -> None:
     )
 
 
+def _below_ceiling(name: str, value: int) -> None:
+    # bounds the per-prime table and keeps is_prime inside its proven range
+    if value >= 1 << 32:
+        raise UsageError(f"{name} must be < 2^32, got {value}")
+
+
 def _odd_prime_arg(value: int) -> OddPrime:
+    _below_ceiling("p", value)
     if value < 3 or value % 2 == 0 or not is_prime(value):
         raise UsageError(f"{value} is not an odd prime")
     return OddPrime(value)
@@ -143,8 +150,7 @@ def _validate_range(lo: int, hi: int) -> None:
         raise UsageError(f"--from must be >= 3, got {lo}")
     if hi < lo:
         raise UsageError(f"--to must be >= --from, got {lo}..{hi}")
-    if hi >= 1 << 32:
-        raise UsageError(f"--to must be < 2^32, got {hi}")
+    _below_ceiling("--to", hi)
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:

@@ -11,16 +11,21 @@ Notation used throughout (chi is the Legendre symbol (.|p)):
     a_sum           sum of chi(k) over odd k in [1, p-2]
     m_sum           sum of chi(k) * k over [1, p-1]  (negative: Dirichlet)
 
-The table is built by squaring 1..(p-1)/2 directly, so it is independent of
-the Euler-criterion Legendre path; the test suite plays the two against each
-other.  Signed chi-sums over an index range collapse to counts, since chi is
-+-1 off zero: sum of chi over a range = 2*(#residues in range) - #terms.
+The table is built by squaring 1..(p-1)/2, so it is independent of the
+Euler-criterion Legendre path; the test suite plays the two against each
+other.  One incremental walk of the squares, j^2 = (j-1)^2 + (2j-1) reduced
+mod p by at most one subtraction, marks the table and sums the residues, so
+m_sum comes out of the same pass: m_sum = 2 * (sum of residues) - p(p-1)/2.
+
+Every count is a popcount of the 0/1 table (see ones), done at C speed on
+the table read as one big integer.  Signed chi-sums over an index range
+collapse to counts, since chi is +-1 off zero: sum of chi over a range =
+2*(#residues in range) - #terms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 
 from .arith import OddPrime
 
@@ -57,6 +62,16 @@ class ResidueProfile:
         return 1 if self.qr_table[r] else -1
 
 
+def ones(table: bytes) -> int:
+    """Number of 1 entries of a 0/1 byte table.
+
+    Every set byte contributes exactly one bit to the table read as a
+    little-endian integer, so this is its popcount (int.bit_count, which
+    needs Python >= 3.10).
+    """
+    return int.from_bytes(table, "little").bit_count()
+
+
 def _require_class3(p: OddPrime) -> None:
     if p.class_mod4 != 3:
         raise ValueError(f"p = {p.value} is 1 (mod 4); statistics need p = 3 (mod 4)")
@@ -66,20 +81,25 @@ def residue_profile(p: OddPrime) -> ResidueProfile:
     """Build the full statistics table for p = 3 (mod 4) in O(p)."""
     _require_class3(p)
     pv = p.value
-    qr = bytearray(pv)
-    for j in range(1, (pv - 1) // 2 + 1):
-        qr[j * j % pv] = 1
-
     half = (pv - 1) // 2
-    q_o = sum(qr[1::2])
-    q_e = sum(qr[2::2])
+    qr = bytearray(pv)
+    r = residue_total = 0
+    for step in range(1, 2 * half, 2):  # step = 2j - 1 takes r from (j-1)^2 to j^2
+        r += step
+        if r >= pv:  # r < p and step <= p - 2, so one subtraction reduces
+            r -= pv
+        qr[r] = 1
+        residue_total += r  # each residue is hit once: j and p - j square alike
+
+    q_o = ones(qr[1::2])
+    q_e = ones(qr[2::2])
     low_top = (pv - 3) // 4  # last index of the low interval; 0 at p=3 (empty)
-    s_low = 2 * sum(qr[1 : low_top + 1]) - low_top
-    s_high = 2 * sum(qr[low_top + 1 : half + 1]) - (half - low_top)
-    even_below = sum(qr[2 : half + 1 : 2])  # even k < p/2 means even k <= (p-1)/2
+    s_low = 2 * ones(qr[1 : low_top + 1]) - low_top
+    s_high = 2 * ones(qr[low_top + 1 : half + 1]) - (half - low_top)
+    even_below = ones(qr[2 : half + 1 : 2])  # even k < p/2 means even k <= (p-1)/2
     even_above = q_e - even_below
     a = 2 * q_o - half  # odd k in [1, p-2] number exactly half
-    m = 2 * sum(compress(range(pv), qr)) - pv * (pv - 1) // 2
+    m = 2 * residue_total - pv * (pv - 1) // 2
     return ResidueProfile(
         p=p,
         qr_table=bytes(qr),

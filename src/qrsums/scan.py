@@ -8,6 +8,7 @@ are emitted in block order.  Every row value is an exact integer.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import IO, Iterable, Iterator
 
@@ -56,12 +57,14 @@ def scan_rows(lo: int, hi: int, jobs: int = 1) -> Iterator[Row]:
     lo = max(lo, 3)
     if hi < lo:
         return
+    jobs = min(jobs, os.cpu_count() or 1)  # more workers than cores buy nothing
     if jobs <= 1:
         for p in primes_in_range(lo, hi, mod4=3):
             yield compute_row(p)
         return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for rows in pool.map(_rows_for_block, _blocks(lo, hi, jobs)):
+    blocks = _blocks(lo, hi, jobs)
+    with ProcessPoolExecutor(max_workers=min(jobs, len(blocks))) as pool:
+        for rows in pool.map(_rows_for_block, blocks):
             yield from rows
 
 

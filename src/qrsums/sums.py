@@ -20,13 +20,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .arith import InvariantError, OddPrime
-from .residues import ResidueProfile, residue_profile
+from .residues import ResidueProfile, ones, residue_profile
 
 
 def _chi_range_sum(table: bytes, start: int, stop: int, step: int = 1) -> int:
     # sum of chi(k) for k in range(start, stop, step): chi is +-1 off zero.
     n_terms = len(range(start, stop, step))
-    return 2 * sum(table[start:stop:step]) - n_terms
+    return 2 * ones(table[start:stop:step]) - n_terms
 
 
 def t_exact(p: OddPrime, profile: ResidueProfile | None = None) -> int:

@@ -20,7 +20,7 @@ from typing import Any, NamedTuple
 from . import analytic
 from .arith import OddPrime, primes_in_range
 from .classnum import h_from_forms, h_from_residues
-from .residues import ResidueProfile, residue_profile
+from .residues import ResidueProfile, ones, residue_profile
 from .sums import ERRATA, sum_record, t_exact, t_from_m
 
 ERRATA_PRIMES = (7, 11)
@@ -88,12 +88,11 @@ def _check_exact(p: OddPrime, rec: _Recorder) -> tuple[ResidueProfile, int]:
     rec.expect(pv, "residue_count", half, prof.q_o + prof.q_e)
     rec.expect_true(pv, "residue_count_odd", (prof.q_o + prof.q_e) % 2 == 1)
     table = prof.qr_table
-    rec.expect(pv, "table_count", half, sum(table))
-    rec.expect_true(
-        pv,
-        "table_negation",
-        not any(table[k] and table[pv - k] for k in range(1, half + 1)),
-    )
+    rec.expect(pv, "table_count", half, ones(table))
+    # bit k-1 of low is table[k] and bit k-1 of high is table[p-k], k <= half
+    low = int.from_bytes(table[1 : half + 1], "little")
+    high = int.from_bytes(table[pv - 1 : half : -1], "little")
+    rec.expect_true(pv, "table_negation", not low & high)
 
     # parity gap and its sign law
     gap = prof.q_o - prof.q_e
@@ -128,8 +127,8 @@ def _check_exact(p: OddPrime, rec: _Recorder) -> tuple[ResidueProfile, int]:
 
     # the even/odd numerator identity over [1, (p-1)/2]
     chi2 = prof.chi(2)
-    odd_part = 2 * sum(table[1 : half + 1 : 2]) - (half + 1) // 2
-    even_part = 2 * sum(table[2 : half + 1 : 2]) - half // 2
+    odd_part = 2 * ones(table[1 : half + 1 : 2]) - (half + 1) // 2
+    even_part = 2 * ones(table[2 : half + 1 : 2]) - half // 2
     rec.expect(
         pv,
         "numerator_identity",

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from qrsums import CSV_HEADER, InvariantError, OddPrime, compute_row, row_as_dict, scan_rows
+from qrsums import CSV_HEADER, InvariantError, OddPrime, compute_row, primes_in_range, row_as_dict, scan_rows
 from qrsums import cli
 from qrsums import scan as scan_mod
 from qrsums import verify as verify_mod
@@ -54,6 +54,40 @@ def test_scan_rows_values():
 
 def test_scan_rows_parallel_equal():
     assert list(scan_rows(3, 800, jobs=3)) == list(scan_rows(3, 800, jobs=1))
+
+
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    def __init__(self, seen, max_workers):
+        seen.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, hi, workers",
+    [
+        (10**9, 4, 2000, [4]),  # capped by the cores
+        (3, 8, 2000, [3]),  # as asked
+        (8, 8, 5, [3]),  # capped by the blocks: [3, 5] is three one-wide blocks
+        (2, 1, 2000, []),  # one core: no pool at all
+        (2, None, 2000, []),  # core count unknown: no pool at all
+    ],
+)
+def test_scan_jobs_clamped(monkeypatch, jobs, cpus, hi, workers):
+    seen = []
+    monkeypatch.setattr(scan_mod, "ProcessPoolExecutor", lambda max_workers: InlinePool(seen, max_workers))
+    monkeypatch.setattr(scan_mod.os, "cpu_count", lambda: cpus)
+    assert list(scan_rows(3, hi, jobs=jobs)) == [compute_row(p) for p in primes_in_range(3, hi, mod4=3)]
+    assert seen == workers
 
 
 def test_scan_csv_exact_bytes(capsys):
@@ -191,6 +225,38 @@ def test_gauss_cli_rejects_class1():
     assert run_cli("gauss", "--p", "15") == 64
 
 
+MERSENNE_61 = str((1 << 61) - 1)  # prime, = 3 (mod 4)
+
+
+@pytest.mark.parametrize("argv", [("report",), ("report", "--float", "--json"), ("gauss", "--p")])
+def test_huge_prime_rejected(argv):
+    # a subprocess with a timeout: without the ceiling, report runs out of
+    # memory building the table and gauss runs for days
+    proc = subprocess.run(
+        [sys.executable, "-m", "qrsums", *argv, MERSENNE_61],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 64
+    assert proc.stdout == ""
+    assert proc.stderr == f"qrsums: p must be < 2^32, got {MERSENNE_61}\n"
+
+
+def test_prime_ceiling_is_2_to_32(monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("computation started above the ceiling")
+
+    monkeypatch.setattr(cli, "residue_profile", never)
+    monkeypatch.setattr(cli.analytic, "gauss_sum_checks", never)
+    first_above = (1 << 32) + 15  # the least prime above 2^32, = 3 (mod 4)
+    assert run_cli("report", str(first_above)) == 64
+    assert run_cli("gauss", "--p", str(first_above)) == 64
+    assert capsys.readouterr().err == 2 * f"qrsums: p must be < 2^32, got {first_above}\n"
+    with pytest.raises(AssertionError):  # the largest prime below 2^32 gets through
+        run_cli("report", str((1 << 32) - 5))
+
+
 # ---- exit codes ----------------------------------------------------------
 
 def test_usage_errors():
@@ -222,6 +288,7 @@ def test_internal_error_in_scan_worker(monkeypatch, capsys):
         raise InvariantError(f"forced in pid {os.getpid()}")
 
     monkeypatch.setattr(scan_mod, "compute_row", boom)
+    monkeypatch.setattr(scan_mod.os, "cpu_count", lambda: 2)  # keep 2 workers on 1 core
     assert run_cli("scan", "--from", "3", "--to", "200", "--jobs", "2") == 2
     err = capsys.readouterr().err
     assert err.startswith("qrsums: internal invariant violation: forced in pid ")

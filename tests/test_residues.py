@@ -1,8 +1,14 @@
 """Residue statistics: frozen spot values, oracle agreement, range laws."""
 
+import sys
+from dataclasses import fields
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrsums import OddPrime, primes_in_range, residue_profile
+from qrsums.residues import ones
 
 from oracles import LARGE_SAMPLE, residue_stats, square_set
 
@@ -11,6 +17,47 @@ def residue_set(pv):
     table = residue_profile(OddPrime(pv)).qr_table
     return {k for k in range(1, pv) if table[k]}
 
+
+def profile_stats(prof):
+    """Every integer field of a profile, keyed as the residue_stats oracle."""
+    skip = ("p", "qr_table")
+    return {f.name: getattr(prof, f.name) for f in fields(prof) if f.name not in skip}
+
+
+# ---- the popcount kernel -------------------------------------------------
+
+def test_python_floor_for_bit_count():
+    # ones() rests on int.bit_count, new in 3.10; requires-python says >=3.10
+    assert sys.version_info >= (3, 10)
+
+
+def test_ones_edge_cases():
+    assert ones(b"") == 0
+    assert ones(b"\x00") == 0
+    assert ones(b"\x01") == 1
+    assert ones(bytes(7)) == 0
+    assert ones(b"\x01" * 9) == 9  # crosses one 8-byte word
+    table = residue_profile(OddPrime(23)).qr_table
+    assert ones(table[1:1]) == 0  # empty slice
+    assert ones(table[23:]) == 0
+    assert ones(table[22:0:-1]) == sum(table) == 11
+
+
+@given(
+    st.lists(st.integers(0, 1), max_size=300),
+    st.integers(-310, 310),
+    st.integers(-310, 310),
+    st.integers(-7, 7).filter(bool),
+)
+@settings(max_examples=300)
+def test_ones_matches_sum(bits, start, stop, step):
+    table = bytes(bits)
+    assert ones(table) == sum(table)
+    part = table[start:stop:step]
+    assert ones(part) == sum(part)
+
+
+# ---- residue sets and profiles -------------------------------------------
 
 def test_quadratic_residue_sets():
     assert residue_set(7) == {1, 2, 4}
@@ -45,7 +92,10 @@ def test_profile_spot_values():
 
 
 def test_profile_degenerate_p3():
+    # the square walk takes one step (1^2 = 1) and the low interval is empty
     prof = residue_profile(OddPrime(3))
+    assert prof.qr_table == b"\x00\x01\x00"
+    assert profile_stats(prof) == residue_stats(3)
     assert (prof.q_o, prof.q_e) == (1, 0)
     assert (prof.s_low, prof.s_high) == (0, 1)  # low interval is empty
     assert (prof.even_below_half, prof.even_above_half) == (0, 0)
@@ -72,28 +122,16 @@ def test_profile_rejects_class1():
 
 def test_profile_matches_oracle_small():
     for p in primes_in_range(3, 400, mod4=3):
-        prof = residue_profile(p)
-        want = residue_stats(p.value)
-        got = {
-            "q_o": prof.q_o,
-            "q_e": prof.q_e,
-            "s_low": prof.s_low,
-            "s_high": prof.s_high,
-            "even_below_half": prof.even_below_half,
-            "even_above_half": prof.even_above_half,
-            "a_sum": prof.a_sum,
-            "m_sum": prof.m_sum,
-        }
-        assert got == want, p.value
+        assert profile_stats(residue_profile(p)) == residue_stats(p.value), p.value
 
 
-@pytest.mark.parametrize("pv", LARGE_SAMPLE[:3])
+@pytest.mark.parametrize("pv", LARGE_SAMPLE)
 def test_profile_matches_oracle_large(pv):
     prof = residue_profile(OddPrime(pv))
-    want = residue_stats(pv)
-    assert prof.q_o == want["q_o"] and prof.q_e == want["q_e"]
-    assert prof.s_low == want["s_low"] and prof.s_high == want["s_high"]
-    assert prof.a_sum == want["a_sum"] and prof.m_sum == want["m_sum"]
+    assert profile_stats(prof) == residue_stats(pv)
+    table = prof.qr_table
+    assert len(table) == pv
+    assert {k for k in range(pv) if table[k]} == square_set(pv)
 
 
 def test_range_laws_to_1e4():

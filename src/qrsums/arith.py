@@ -126,20 +126,15 @@ def _small_primes(limit: int) -> list[int]:
     return [i for i in range(2, limit + 1) if mark[i]]
 
 
-def primes_in_range(
-    lo: int, hi: int, *, mod4: int | None = None, mod8: int | None = None
-) -> list[OddPrime]:
+def primes_in_range(lo: int, hi: int, *, mod4: int | None = None) -> list[OddPrime]:
     """Odd primes in [lo, hi], ascending, optionally filtered by residue class.
 
-    Pass mod4=r to keep primes = r (mod 4), or mod8=r for mod 8 (at most one
-    filter).  Uses a segmented sieve, so hi can be large without building a
-    full-range table.  The element type is OddPrime, so 2 is never included
-    even when lo <= 2.
+    Pass mod4=r to keep primes = r (mod 4).  Uses a segmented sieve, so hi
+    can be large without building a full-range table.  The element type is
+    OddPrime, so 2 is never included even when lo <= 2.
     """
     if lo < 2:
         raise ValueError(f"lo must be >= 2, got {lo}")
-    if mod4 is not None and mod8 is not None:
-        raise ValueError("give at most one of mod4, mod8")
     if hi < lo:
         return []
     base = _small_primes(isqrt(hi))
@@ -159,8 +154,6 @@ def primes_in_range(
             if not mark[n - seg_lo]:
                 continue
             if mod4 is not None and n % 4 != mod4:
-                continue
-            if mod8 is not None and n % 8 != mod8:
                 continue
             out.append(OddPrime(n))
     return out

@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import closing
 from typing import IO
 
 from . import analytic, scan, verify
@@ -27,6 +28,10 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_INTERNAL = 2
 EXIT_USAGE = 64
+
+# gauss sums p(p-1) terms: about 2.7e8, a couple of minutes, for the
+# largest eligible p below 2^14
+GAUSS_P_BITS = 14
 
 
 class UsageError(Exception):
@@ -94,52 +99,38 @@ def _odd_prime_arg(value: int) -> OddPrime:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     p = _odd_prime_arg(args.p)
-    out = sys.stdout
-
     if p.class_mod4 == 1:
         # the sums vanish here; that is all there is to check
+        fields: dict = {"p": p.value, "class_mod8": p.class_mod8}
+        heading = "vanishing checks (p = 1 mod 4):"
         checks = [analytic.t_float(p), analytic.c_float(p)]
-        if args.json:
-            doc = {
-                "p": p.value,
-                "class_mod8": p.class_mod8,
-                "float_checks": [_check_as_dict(r) for r in checks],
-            }
-            out.write(json.dumps(doc, indent=2) + "\n")
-        else:
-            out.write(f"p           = {p.value}\n")
-            out.write(f"class_mod8  = {p.class_mod8}\n")
-            out.write("vanishing checks (p = 1 mod 4):\n")
-            for r in checks:
-                _print_check(r, out)
-        return EXIT_OK if all(r.passed for r in checks) else EXIT_FAILURE
-
-    prof = residue_profile(p)
-    rec = sum_record(p, prof)
-    fields = scan.row_as_dict(scan.row_values(p, prof, rec, h_from_forms(p)))
-    checks = []
-    if args.float:
-        checks = [
-            analytic.t_float(p, prof),
-            analytic.c_float(p, prof),
-            analytic.whiteman_sum(p, prof),
-            analytic.lebesgue_float(p, prof),
-            analytic.berndt_m_float(p, prof),
-            analytic.bound_harmonic(p, prof),
-            analytic.bound_pv(p, prof),
-        ]
+    else:
+        prof = residue_profile(p)
+        rec = sum_record(p, prof)
+        fields = scan.row_as_dict(scan.row_values(p, prof, rec, h_from_forms(p)))
+        fields["t_expr"] = list(rec.t_expr)
+        heading = "float checks:"
+        checks = []
+        if args.float:
+            checks = [
+                analytic.t_float(p, prof),
+                analytic.c_float(p, prof),
+                analytic.whiteman_sum(p, prof),
+                analytic.lebesgue_float(p, prof),
+                analytic.berndt_m_float(p, prof),
+                analytic.bound_harmonic(p, prof),
+                analytic.bound_pv(p, prof),
+            ]
+    out = sys.stdout
     if args.json:
-        doc: dict = dict(fields)
-        doc["t_expr"] = list(rec.t_expr)
         if checks:
-            doc["float_checks"] = [_check_as_dict(r) for r in checks]
-        out.write(json.dumps(doc, indent=2) + "\n")
+            fields["float_checks"] = [_check_as_dict(r) for r in checks]
+        out.write(json.dumps(fields, indent=2) + "\n")
     else:
         for key, value in fields.items():
             out.write(f"{key:<11} = {value}\n")
-        out.write(f"t_expr      = {list(rec.t_expr)}\n")
         if checks:
-            out.write("float checks:\n")
+            out.write(heading + "\n")
             for r in checks:
                 _print_check(r, out)
     return EXIT_OK if all(r.passed for r in checks) else EXIT_FAILURE
@@ -157,17 +148,18 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     _validate_range(args.lo, args.hi)
     if args.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
-    rows = scan.scan_rows(args.lo, args.hi, jobs=args.jobs)
     writer = scan.write_csv if args.format == "csv" else scan.write_json
-    if args.out is None:
-        writer(rows, sys.stdout)
-        return EXIT_OK
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer(rows, fh)
-    except OSError as exc:
-        sys.stderr.write(f"qrsums: cannot write {args.out}: {exc}\n")
-        return EXIT_FAILURE
+    # closing the rows terminates scan's workers at once if the writer fails
+    with closing(scan.scan_rows(args.lo, args.hi, jobs=args.jobs)) as rows:
+        if args.out is None:
+            writer(rows, sys.stdout)
+            return EXIT_OK
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                writer(rows, fh)
+        except OSError as exc:
+            sys.stderr.write(f"qrsums: cannot write {args.out}: {exc}\n")
+            return EXIT_FAILURE
     return EXIT_OK
 
 
@@ -200,6 +192,8 @@ def _cmd_gauss(args: argparse.Namespace) -> int:
     p = _odd_prime_arg(args.p)
     if p.class_mod4 != 3:
         raise UsageError(f"p = {p.value} is 1 (mod 4); the pure-imaginary closed form needs 3 (mod 4)")
+    if p.value >= 1 << GAUSS_P_BITS:
+        raise UsageError(f"gauss sums p(p-1) terms; p must be < 2^{GAUSS_P_BITS}, got {p.value}")
     checks = analytic.gauss_sum_checks(p)
     out = sys.stdout
     for r in checks:

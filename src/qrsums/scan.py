@@ -1,15 +1,17 @@
 """Range scans: one row of exact statistics per prime p = 3 (mod 4).
 
-Output is deterministic for a given range regardless of worker count: the
-range is cut into contiguous blocks, workers compute whole blocks, and rows
-are emitted in block order.  Every row value is an exact integer.
+The range is sieved once, and the rows come from an ordered map over its
+primes, so output is the same for any worker count.  With more than one
+worker the map runs on a process pool; leaving the pool terminates it, so a
+reader that goes away or a worker that fails ends the scan at once.  Every
+row value is an exact integer.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import Pool
 from typing import IO, Iterable, Iterator
 
 from .arith import OddPrime, primes_in_range
@@ -39,33 +41,19 @@ def compute_row(p: OddPrime) -> Row:
     return row_values(p, prof, sum_record(p, prof), h_from_forms(p))
 
 
-def _rows_for_block(block: tuple[int, int]) -> list[Row]:
-    lo, hi = block
-    return [compute_row(p) for p in primes_in_range(lo, hi, mod4=3)]
-
-
-def _blocks(lo: int, hi: int, jobs: int) -> list[tuple[int, int]]:
-    # contiguous, covering [lo, hi]; a few blocks per worker for balance
-    count = max(1, jobs * 4)
-    span = hi - lo + 1
-    width = max(1, -(-span // count))
-    return [(a, min(a + width - 1, hi)) for a in range(lo, hi + 1, width)]
-
-
 def scan_rows(lo: int, hi: int, jobs: int = 1) -> Iterator[Row]:
     """Rows for all primes p = 3 (mod 4) in [lo, hi], ascending."""
-    lo = max(lo, 3)
-    if hi < lo:
-        return
-    jobs = min(jobs, os.cpu_count() or 1)  # more workers than cores buy nothing
+    primes = primes_in_range(max(lo, 3), hi, mod4=3)
+    # more workers than cores or primes buy nothing
+    jobs = min(jobs, os.cpu_count() or 1, len(primes))
     if jobs <= 1:
-        for p in primes_in_range(lo, hi, mod4=3):
-            yield compute_row(p)
+        yield from map(compute_row, primes)
         return
-    blocks = _blocks(lo, hi, jobs)
-    with ProcessPoolExecutor(max_workers=min(jobs, len(blocks))) as pool:
-        for rows in pool.map(_rows_for_block, blocks):
-            yield from rows
+    # per-prime cost grows with p; four chunks per worker, each handed to
+    # the next free worker, keep the costly last primes from running alone
+    chunksize = -(-len(primes) // (4 * jobs))
+    with Pool(jobs) as pool:
+        yield from pool.imap(compute_row, primes, chunksize)
 
 
 def row_as_dict(row: Row) -> dict[str, int]:

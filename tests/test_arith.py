@@ -113,7 +113,6 @@ def test_legendre_reduction(k):
 
 def test_primes_in_range_spot():
     assert [p.value for p in primes_in_range(3, 25, mod4=3)] == [3, 7, 11, 19, 23]
-    assert [p.value for p in primes_in_range(3, 25, mod8=3)] == [3, 11, 19]
     assert primes_in_range(14, 16) == []
     assert primes_in_range(10, 5) == []
     assert [p.value for p in primes_in_range(2, 10)] == [3, 5, 7]  # OddPrime: no 2
@@ -122,8 +121,6 @@ def test_primes_in_range_spot():
 def test_primes_in_range_rejects():
     with pytest.raises(ValueError):
         primes_in_range(1, 10)
-    with pytest.raises(ValueError):
-        primes_in_range(3, 25, mod4=3, mod8=3)
 
 
 def test_primes_in_range_matches_sieve():
@@ -138,9 +135,6 @@ def test_primes_in_range_class_filters_consistent():
     c1 = {p.value for p in primes_in_range(3, 5000, mod4=1)}
     c3 = {p.value for p in primes_in_range(3, 5000, mod4=3)}
     assert c1 | c3 == full and not (c1 & c3)
-    c3of8 = {p.value for p in primes_in_range(3, 5000, mod8=3)}
-    c7of8 = {p.value for p in primes_in_range(3, 5000, mod8=7)}
-    assert c3of8 | c7of8 == c3 and not (c3of8 & c7of8)
 
 
 def test_primes_in_range_crosses_segment_boundary():

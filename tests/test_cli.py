@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -57,10 +58,10 @@ def test_scan_rows_parallel_equal():
 
 
 class InlinePool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+    """Stands in for multiprocessing.Pool: records processes, maps in-process."""
 
-    def __init__(self, seen, max_workers):
-        seen.append(max_workers)
+    def __init__(self, seen, processes):
+        seen.append(processes)
 
     def __enter__(self):
         return self
@@ -68,7 +69,8 @@ class InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
+    def imap(self, fn, items, chunksize):
+        assert chunksize >= 1
         return map(fn, items)
 
 
@@ -77,14 +79,15 @@ class InlinePool:
     [
         (10**9, 4, 2000, [4]),  # capped by the cores
         (3, 8, 2000, [3]),  # as asked
-        (8, 8, 5, [3]),  # capped by the blocks: [3, 5] is three one-wide blocks
+        (8, 8, 5, []),  # capped by the primes: 3 is the only one, so no pool
         (2, 1, 2000, []),  # one core: no pool at all
         (2, None, 2000, []),  # core count unknown: no pool at all
+        (8, 8, 12, [3]),  # capped by the primes: 3, 7 and 11
     ],
 )
 def test_scan_jobs_clamped(monkeypatch, jobs, cpus, hi, workers):
     seen = []
-    monkeypatch.setattr(scan_mod, "ProcessPoolExecutor", lambda max_workers: InlinePool(seen, max_workers))
+    monkeypatch.setattr(scan_mod, "Pool", lambda processes: InlinePool(seen, processes))
     monkeypatch.setattr(scan_mod.os, "cpu_count", lambda: cpus)
     assert list(scan_rows(3, hi, jobs=jobs)) == [compute_row(p) for p in primes_in_range(3, hi, mod4=3)]
     assert seen == workers
@@ -174,6 +177,19 @@ def test_report_class1_reduced(capsys):
     assert all(c["pass"] for c in doc["float_checks"])
 
 
+def test_report_class1_exact_bytes(capsys):
+    assert run_cli("report", "13") == 0
+    assert capsys.readouterr().out == (
+        "p           = 13\n"
+        "class_mod8  = 5\n"
+        "vanishing checks (p = 1 mod 4):\n"
+        "  tangent_sum              computed=-2.10155717231e-15  reference=0"
+        "  residual=2.10155717231e-15  tolerance=1.67096900136e-07  pass\n"
+        "  cotangent_sum            computed=-2.40177962549e-15  reference=0"
+        "  residual=2.40177962549e-15  tolerance=1.67096900136e-07  pass\n"
+    )
+
+
 def test_report_composite_is_usage_error(capsys):
     assert run_cli("report", "9") == 64
     assert "not an odd prime" in capsys.readouterr().err
@@ -257,6 +273,17 @@ def test_prime_ceiling_is_2_to_32(monkeypatch, capsys):
         run_cli("report", str((1 << 32) - 5))
 
 
+def test_gauss_cost_limit(monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("sums started")
+
+    monkeypatch.setattr(cli.analytic, "gauss_sum_checks", never)
+    assert run_cli("gauss", "--p", "16411") == 64  # the least eligible prime above 2^14
+    assert capsys.readouterr().err == "qrsums: gauss sums p(p-1) terms; p must be < 2^14, got 16411\n"
+    with pytest.raises(AssertionError):  # the largest eligible prime below 2^14 gets through
+        run_cli("gauss", "--p", "16363")
+
+
 # ---- exit codes ----------------------------------------------------------
 
 def test_usage_errors():
@@ -279,7 +306,7 @@ def test_internal_error_exit_code(monkeypatch, capsys):
 
 
 def test_internal_error_in_scan_worker(monkeypatch, capsys):
-    # workers fork from this process, so they inherit the patched compute_row
+    # workers fork from this process, so they inherit the patched h_from_forms
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("needs fork-started workers to inherit the patch")
     parent = os.getpid()
@@ -287,13 +314,32 @@ def test_internal_error_in_scan_worker(monkeypatch, capsys):
     def boom(p):
         raise InvariantError(f"forced in pid {os.getpid()}")
 
-    monkeypatch.setattr(scan_mod, "compute_row", boom)
+    monkeypatch.setattr(scan_mod, "h_from_forms", boom)
     monkeypatch.setattr(scan_mod.os, "cpu_count", lambda: 2)  # keep 2 workers on 1 core
     assert run_cli("scan", "--from", "3", "--to", "200", "--jobs", "2") == 2
     err = capsys.readouterr().err
     assert err.startswith("qrsums: internal invariant violation: forced in pid ")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert int(err.split()[-1]) != parent
+
+
+def test_scan_worker_error_stops_the_pool(monkeypatch, capsys):
+    # one early prime fails; the command must not wait for the rest of the range
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("needs fork-started workers to inherit the patch")
+    h_from_forms = scan_mod.h_from_forms
+
+    def fail_at_1019(p):
+        if p.value == 1019:
+            raise InvariantError("forced at p = 1019")
+        return h_from_forms(p)
+
+    monkeypatch.setattr(scan_mod, "h_from_forms", fail_at_1019)
+    monkeypatch.setattr(scan_mod.os, "cpu_count", lambda: 2)
+    start = time.monotonic()
+    assert run_cli("scan", "--from", "3", "--to", "150000", "--jobs", "2") == 2
+    assert time.monotonic() - start < 5
+    assert capsys.readouterr().err == "qrsums: internal invariant violation: forced at p = 1019\n"
 
 
 def test_broken_pipe_exits_quietly():
@@ -307,6 +353,40 @@ def test_broken_pipe_exits_quietly():
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores for a two-worker pool")
+def test_broken_pipe_stops_the_pool():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qrsums", "scan", "--from", "3", "--to", "150000", "--jobs", "2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        assert proc.stdout.readline().decode().strip() == CSV_HEADER
+        proc.stdout.close()
+        closed = time.monotonic()
+        assert proc.wait(timeout=60) == 1
+        assert time.monotonic() - closed < 5
+        err = proc.stderr.read().decode()
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+def test_cli_import_is_lean():
+    # the pool machinery loads only when a scan runs with more than one worker
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, qrsums.cli; "
+         "print(sorted({'concurrent.futures', 'multiprocessing.pool'} & set(sys.modules)))"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_console_entry_point():

@@ -58,8 +58,9 @@ class FloatCheckResult:
     passed: bool
 
 
-def _approx(name: str, p: OddPrime, computed: float, reference: float,
-            tol: float, extra_ok: bool = True) -> FloatCheckResult:
+def _approx(name: str, p: OddPrime, computed: float | complex,
+            reference: float | complex, tol: float,
+            extra_ok: bool = True) -> FloatCheckResult:
     residual = abs(computed - reference)
     return FloatCheckResult(
         name=name,
@@ -145,17 +146,7 @@ def gauss_sum_float(k: int, p: OddPrime,
     roots = _roots if _roots is not None else _unit_roots(pv)
     computed = _compensated_complex(roots[j * j % pv * kr % pv] for j in range(pv))
     ref = complex(0.0, legendre(kr, p) * math.sqrt(pv))
-    residual = abs(computed - ref)
-    tol = gauss_tolerance(pv)
-    return FloatCheckResult(
-        name=f"gauss_sum(k={kr})",
-        p=p,
-        computed=computed,
-        reference=ref,
-        residual=residual,
-        tolerance=tol,
-        passed=residual <= tol,
-    )
+    return _approx(f"gauss_sum(k={kr})", p, computed, ref, gauss_tolerance(pv))
 
 
 def gauss_sum_checks(p: OddPrime) -> list[FloatCheckResult]:

@@ -114,30 +114,21 @@ def legendre(k: int, p: OddPrime) -> int:
 _SEGMENT_SIZE = 1 << 20
 
 
-def _small_primes(limit: int) -> list[int]:
-    # Plain sieve of Eratosthenes up to limit inclusive.
-    if limit < 2:
-        return []
-    mark = bytearray([1]) * (limit + 1)
-    mark[0] = mark[1] = 0
-    for d in range(2, isqrt(limit) + 1):
-        if mark[d]:
-            mark[d * d :: d] = bytes(len(range(d * d, limit + 1, d)))
-    return [i for i in range(2, limit + 1) if mark[i]]
-
-
 def primes_in_range(lo: int, hi: int, *, mod4: int | None = None) -> list[OddPrime]:
     """Odd primes in [lo, hi], ascending, optionally filtered by residue class.
 
     Pass mod4=r to keep primes = r (mod 4).  Uses a segmented sieve, so hi
     can be large without building a full-range table.  The element type is
-    OddPrime, so 2 is never included even when lo <= 2.
+    OddPrime, so 2 is never included even when lo <= 2.  The base primes up
+    to isqrt(hi) come from this function itself: only odd n are examined,
+    so the odd base primes suffice.  Below 2^32 the recursion sieves at most
+    four levels (up to 65535, 255, 15 and 3).
     """
     if lo < 2:
         raise ValueError(f"lo must be >= 2, got {lo}")
     if hi < lo:
         return []
-    base = _small_primes(isqrt(hi))
+    base = [q.value for q in primes_in_range(3, isqrt(hi))]
     out: list[OddPrime] = []
     start = max(lo, 3)
     for seg_lo in range(start, hi + 1, _SEGMENT_SIZE):

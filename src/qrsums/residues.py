@@ -18,9 +18,8 @@ mod p by at most one subtraction, marks the table and sums the residues, so
 m_sum comes out of the same pass: m_sum = 2 * (sum of residues) - p(p-1)/2.
 
 Every count is a popcount of the 0/1 table (see ones), done at C speed on
-the table read as one big integer.  Signed chi-sums over an index range
-collapse to counts, since chi is +-1 off zero: sum of chi over a range =
-2*(#residues in range) - #terms.
+the table read as one big integer.  Every signed chi-sum over an index range
+is chi_sum: chi is +-1 off zero, so the sum = 2*(#residues in range) - #terms.
 """
 
 from __future__ import annotations
@@ -72,6 +71,15 @@ def ones(table: bytes) -> int:
     return int.from_bytes(table, "little").bit_count()
 
 
+def chi_sum(table: bytes, start: int, stop: int, step: int = 1) -> int:
+    """sum of chi(k) for k in range(start, stop, step), read from a 0/1
+    residue table; 0 <= start, stop <= len(table), step > 0, and no k in the
+    range is a multiple of p.  chi is +-1 there, so the sum is
+    2 * (residues in the range) - (terms in the range).
+    """
+    return 2 * ones(table[start:stop:step]) - len(range(start, stop, step))
+
+
 def _require_class3(p: OddPrime) -> None:
     if p.class_mod4 != 3:
         raise ValueError(f"p = {p.value} is 1 (mod 4); statistics need p = 3 (mod 4)")
@@ -94,10 +102,10 @@ def residue_profile(p: OddPrime) -> ResidueProfile:
     q_o = ones(qr[1::2])
     q_e = ones(qr[2::2])
     low_top = (pv - 3) // 4  # last index of the low interval; 0 at p=3 (empty)
-    s_low = 2 * ones(qr[1 : low_top + 1]) - low_top
-    s_high = 2 * ones(qr[low_top + 1 : half + 1]) - (half - low_top)
+    s_low = chi_sum(qr, 1, low_top + 1)
+    s_high = chi_sum(qr, low_top + 1, half + 1)
     even_below = ones(qr[2 : half + 1 : 2])  # even k < p/2 means even k <= (p-1)/2
-    even_above = q_e - even_below
+    even_above = ones(qr[half + 1 :: 2])  # (p+1)/2 is even for p = 3 (mod 4)
     a = 2 * q_o - half  # odd k in [1, p-2] number exactly half
     m = 2 * residue_total - pv * (pv - 1) // 2
     return ResidueProfile(

@@ -30,7 +30,7 @@ Row = tuple[int, ...]
 def row_values(p: OddPrime, prof: ResidueProfile, rec: SumRecord, h: int) -> Row:
     """The row of p from its already computed profile, sum record and h."""
     return (
-        p.value, p.class_mod8, prof.q_o, prof.q_e, rec.a_value, rec.m_value,
+        p.value, p.class_mod8, prof.q_o, prof.q_e, prof.a_sum, prof.m_sum,
         rec.t_value, rec.c_value, h, prof.s_low, prof.s_high,
         prof.even_below_half, prof.even_above_half,
     )

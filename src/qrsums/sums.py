@@ -20,13 +20,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .arith import InvariantError, OddPrime
-from .residues import ResidueProfile, ones, residue_profile
-
-
-def _chi_range_sum(table: bytes, start: int, stop: int, step: int = 1) -> int:
-    # sum of chi(k) for k in range(start, stop, step): chi is +-1 off zero.
-    n_terms = len(range(start, stop, step))
-    return 2 * ones(table[start:stop:step]) - n_terms
+from .residues import ResidueProfile, chi_sum, residue_profile
 
 
 def t_exact(p: OddPrime, profile: ResidueProfile | None = None) -> int:
@@ -53,14 +47,12 @@ def t_expressions(
     table = prof.qr_table
     half = (pv - 1) // 2
 
-    alt_full = _chi_range_sum(table, 1, pv, 2) - _chi_range_sum(table, 2, pv, 2)
+    alt_full = chi_sum(table, 1, pv, 2) - chi_sum(table, 2, pv, 2)
     if alt_full % 2:
         raise InvariantError(f"alternating chi sum over [1, p-1] is odd at p={pv}")
     t1 = pv * (alt_full // 2)
 
-    alt_half = _chi_range_sum(table, 1, half + 1, 2) - _chi_range_sum(
-        table, 2, half + 1, 2
-    )
+    alt_half = chi_sum(table, 1, half + 1, 2) - chi_sum(table, 2, half + 1, 2)
     t2 = pv * alt_half
 
     t3 = pv * prof.a_sum
@@ -104,8 +96,6 @@ class SumRecord:
     t_value: int
     c_value: int
     t_expr: tuple[int, int, int, int, int]
-    m_value: int
-    a_value: int
 
 
 def sum_record(p: OddPrime, profile: ResidueProfile | None = None) -> SumRecord:
@@ -115,8 +105,6 @@ def sum_record(p: OddPrime, profile: ResidueProfile | None = None) -> SumRecord:
         t_value=t_exact(p, prof),
         c_value=c_exact(p, prof),
         t_expr=t_expressions(p, prof),
-        m_value=prof.m_sum,
-        a_value=prof.a_sum,
     )
 
 

@@ -20,7 +20,7 @@ from typing import Any, NamedTuple
 from . import analytic
 from .arith import OddPrime, primes_in_range
 from .classnum import h_from_forms, h_from_residues
-from .residues import ResidueProfile, ones, residue_profile
+from .residues import ResidueProfile, chi_sum, ones, residue_profile
 from .sums import ERRATA, sum_record, t_exact, t_from_m
 
 ERRATA_PRIMES = (7, 11)
@@ -127,8 +127,8 @@ def _check_exact(p: OddPrime, rec: _Recorder) -> tuple[ResidueProfile, int]:
 
     # the even/odd numerator identity over [1, (p-1)/2]
     chi2 = prof.chi(2)
-    odd_part = 2 * ones(table[1 : half + 1 : 2]) - (half + 1) // 2
-    even_part = 2 * ones(table[2 : half + 1 : 2]) - half // 2
+    odd_part = chi_sum(table, 1, half + 1, 2)
+    even_part = chi_sum(table, 2, half + 1, 2)
     rec.expect(
         pv,
         "numerator_identity",

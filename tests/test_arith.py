@@ -130,6 +130,23 @@ def test_primes_in_range_matches_sieve():
     assert got == want
 
 
+def test_primes_in_range_every_small_range():
+    # the base primes come from primes_in_range itself: empty below 9, one
+    # prime (3) below 25
+    flags = sieve_flags(150)
+    for lo in range(2, 151):
+        for hi in range(lo, 151):
+            want = [n for n in range(lo, hi + 1) if n % 2 and flags[n]]
+            assert [p.value for p in primes_in_range(lo, hi)] == want, (lo, hi)
+
+
+def test_primes_in_range_below_2_to_32():
+    # the deepest base recursion the CLI reaches: 65535, 255, 15, 3
+    lo, hi = (1 << 32) - 400, (1 << 32) - 1
+    got = [p.value for p in primes_in_range(lo, hi)]
+    assert got == [n for n in range(lo, hi + 1) if n % 2 and is_prime(n)]
+
+
 def test_primes_in_range_class_filters_consistent():
     full = {p.value for p in primes_in_range(3, 5000)}
     c1 = {p.value for p in primes_in_range(3, 5000, mod4=1)}

@@ -343,15 +343,15 @@ def test_scan_worker_error_stops_the_pool(monkeypatch, capsys):
 
 
 def test_broken_pipe_exits_quietly():
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "qrsums", "scan", "--from", "3", "--to", "30000"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-    )
-    assert proc.stdout.readline().decode().strip() == CSV_HEADER
-    proc.stdout.close()  # the reader goes away, as `| head -1` would
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=60) == 1
+    ) as proc:
+        assert proc.stdout.readline().decode().strip() == CSV_HEADER
+        proc.stdout.close()  # the reader goes away, as `| head -1` would
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err and "BrokenPipeError" not in err
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrsums import OddPrime, primes_in_range, residue_profile
-from qrsums.residues import ones
+from qrsums.residues import chi_sum, ones
 
 from oracles import LARGE_SAMPLE, residue_stats, square_set
 
@@ -55,6 +55,17 @@ def test_ones_matches_sum(bits, start, stop, step):
     assert ones(table) == sum(table)
     part = table[start:stop:step]
     assert ones(part) == sum(part)
+
+
+@given(st.lists(st.integers(0, 1), max_size=300), st.data())
+@settings(max_examples=300)
+def test_chi_sum_matches_direct_sum(bits, data):
+    table = bytes(bits)
+    start = data.draw(st.integers(0, len(table)))
+    stop = data.draw(st.integers(0, len(table)))
+    step = data.draw(st.integers(1, 7))
+    direct = sum(1 if table[k] else -1 for k in range(start, stop, step))
+    assert chi_sum(table, start, stop, step) == direct
 
 
 # ---- residue sets and profiles -------------------------------------------

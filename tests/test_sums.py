@@ -121,8 +121,6 @@ def test_sum_record_coherent():
     assert rec.t_value == -69
     assert rec.c_value == 69
     assert rec.t_expr == (-69,) * 5
-    assert rec.m_value == -69
-    assert rec.a_value == -3
 
 
 # ---- published forms and the errata registry -----------------------------

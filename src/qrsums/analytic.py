@@ -3,6 +3,8 @@
 Every exact integer produced by the sums and classnum modules is re-derived
 here by brute-force double-precision evaluation of the expression that
 defines it, and the two are compared under an explicit tolerance policy.
+float_checks is the one list of these checks, run by report and verify;
+Lebesgue's and Berndt's formulas scale one chi-cot sum two ways.
 
 Angles are always formed from exactly reduced integers: tan(pi n^2 / p) is
 evaluated as tan(pi * (n^2 mod p) / p), never from the unreduced product
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .arith import OddPrime, legendre
-from .classnum import h_from_forms
+from .classnum import h_from_forms, half_units
 from .residues import ResidueProfile, residue_profile
 from .sums import c_exact, t_exact
 
@@ -155,22 +157,26 @@ def gauss_sum_checks(p: OddPrime) -> list[FloatCheckResult]:
     return [gauss_sum_float(k, p, _roots=roots) for k in range(1, p.value)]
 
 
+def _chi_cot_sum(prof: ResidueProfile) -> float:
+    """sum_{k=1}^{p-1} chi(k) cot(k pi / p), the sum behind Lebesgue's and
+    Berndt's formulas, with chi read from the residue table."""
+    pv = prof.p.value
+    pi = math.pi
+    table = prof.qr_table
+    return math.fsum(
+        (1.0 if table[k] else -1.0) / math.tan(pi * k / pv) for k in range(1, pv)
+    )
+
+
 def lebesgue_float(p: OddPrime, profile: ResidueProfile | None = None) -> FloatCheckResult:
     """Class number by Lebesgue's cotangent formula, against h_from_forms.
 
     (w/2) * (1 / (2 sqrt p)) * sum_{k=1}^{p-1} chi(k) cot(k pi / p), where
-    w is the number of roots of unity in the discriminant -p field: w = 6
-    at p = 3 and w = 2 otherwise, so the leading factor is 3 only at p = 3.
+    w/2 = half_units(p) is the unit factor of the discriminant -p field.
     """
-    prof = profile or residue_profile(p)
     pv = p.value
-    pi = math.pi
-    table = prof.qr_table
-    total = math.fsum(
-        (1.0 if table[k] else -1.0) / math.tan(pi * k / pv) for k in range(1, pv)
-    )
-    unit = 3.0 if pv == 3 else 1.0
-    computed = unit * total / (2.0 * math.sqrt(pv))
+    total = _chi_cot_sum(profile or residue_profile(p))
+    computed = half_units(p) * total / (2.0 * math.sqrt(pv))
     ref = float(h_from_forms(p))
     return _approx("lebesgue_formula", p, computed, ref, sum_tolerance(pv))
 
@@ -183,14 +189,19 @@ def berndt_m_float(p: OddPrime, profile: ResidueProfile | None = None) -> FloatC
     """
     prof = profile or residue_profile(p)
     pv = p.value
-    pi = math.pi
-    table = prof.qr_table
-    total = math.fsum(
-        (1.0 if table[k] else -1.0) / math.tan(pi * k / pv) for k in range(1, pv)
-    )
-    computed = math.sqrt(pv) / 2.0 * total
+    computed = math.sqrt(pv) / 2.0 * _chi_cot_sum(prof)
     ref = float(-prof.m_sum)
     return _approx("berndt_sum", p, computed, ref, sum_tolerance(pv))
+
+
+def float_checks(p: OddPrime, profile: ResidueProfile | None = None) -> list[FloatCheckResult]:
+    """The float suite of one prime, in a fixed order: the two half-range
+    sums (which vanish at p = 1 (mod 4)), then at p = 3 (mod 4) Whiteman's
+    sum and Lebesgue's and Berndt's formulas."""
+    checks = [t_float, c_float]
+    if p.class_mod4 == 3:
+        checks += [whiteman_sum, lebesgue_float, berndt_m_float]
+    return [check(p, profile) for check in checks]
 
 
 def _bound(name: str, p: OddPrime, bound_value: float, magnitude: float,

@@ -8,12 +8,12 @@ for prime discriminant but asserted anyway.
 
 The independent second route counts quadratic residues:
 
-    h(-p) = q_e - q_o          for p = 7 (mod 8)
-    h(-p) = (q_o - q_e) / 3    for p = 3 (mod 8), p > 3
+    h(-p) = q_e - q_o                  for p = 7 (mod 8)
+    h(-p) = (w/2) (q_o - q_e) / 3      for p = 3 (mod 8)
 
-At p = 3 the field of discriminant -3 has six roots of unity instead of
-two, so the residue-count formula (like every character-sum class number
-formula) picks up an extra factor 3 there: h(-3) = 1, not (q_o - q_e)/3.
+where w/2 = half_units(p) is 3 at p = 3 and 1 otherwise.  Like every
+character-sum class number formula, the count formula carries this unit
+factor: h(-3) = 1, not (q_o - q_e)/3.
 """
 
 from __future__ import annotations
@@ -103,8 +103,15 @@ def h_from_forms(p: OddPrime) -> int:
     return len(reduced_forms(p))
 
 
+def half_units(p: OddPrime) -> int:
+    """w/2, half the number of roots of unity in the field of discriminant -p:
+    the six sixth roots of unity at p = 3, only +-1 above it.  Every class
+    number relation in character sums carries this factor."""
+    return 3 if p.value == 3 else 1
+
+
 def h_from_residues(p: OddPrime, profile: ResidueProfile | None = None) -> int:
-    """h(-p) from residue counts (see module docstring for the p=3 factor).
+    """h(-p) from residue counts (see the module docstring).
 
     The division by 3 in the p = 3 (mod 8) branch must be exact and the
     result positive; anything else is an internal error.
@@ -113,14 +120,10 @@ def h_from_residues(p: OddPrime, profile: ResidueProfile | None = None) -> int:
     gap = prof.q_o - prof.q_e
     if p.class_mod8 == 7:
         h = -gap
-    elif p.value == 3:
-        # six units in the discriminant -3 field: the count formula gains
-        # a factor 3, and gap/3 * 3 == gap == 1 here
-        h = gap
     else:
-        if gap % 3:
+        h, rem = divmod(gap * half_units(p), 3)
+        if rem:
             raise InvariantError(f"residue gap {gap} not divisible by 3 at p={p.value}")
-        h = gap // 3
     if h <= 0:
         raise InvariantError(f"nonpositive class number {h} at p={p.value}")
     return h

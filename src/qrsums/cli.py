@@ -99,7 +99,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         # the sums vanish here; that is all there is to check
         fields: dict = {"p": p.value, "class_mod8": p.class_mod8}
         heading = "vanishing checks (p = 1 mod 4):"
-        checks = [analytic.t_float(p), analytic.c_float(p)]
+        checks = analytic.float_checks(p)
     else:
         prof = residue_profile(p)
         rec = sum_record(p, prof)
@@ -108,12 +108,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         heading = "float checks:"
         checks = []
         if args.float:
-            checks = [
-                analytic.t_float(p, prof),
-                analytic.c_float(p, prof),
-                analytic.whiteman_sum(p, prof),
-                analytic.lebesgue_float(p, prof),
-                analytic.berndt_m_float(p, prof),
+            checks = analytic.float_checks(p, prof) + [
                 analytic.bound_harmonic(p, prof),
                 analytic.bound_pv(p, prof),
             ]
@@ -161,9 +156,12 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     _validate_range(args.lo, args.hi)
-    report = verify.run_verify(
-        args.lo, args.hi, with_float=args.float, float_cap=args.float_cap
-    )
+    cap = args.float_cap
+    _below_ceiling("--float-cap", cap)
+    # from tolerance 0.5 on, lebesgue_formula would also pass h +- 1
+    if cap > 0 and analytic.sum_tolerance(cap) >= 0.5:
+        raise UsageError(f"--float-cap {cap} puts the float tolerance at or above 0.5")
+    report = verify.run_verify(args.lo, args.hi, with_float=args.float, float_cap=cap)
     out = sys.stdout
     lo, hi = report.range
     out.write(f"range          = [{lo}, {hi}]\n")

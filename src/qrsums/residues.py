@@ -80,14 +80,10 @@ def chi_sum(table: bytes, start: int, stop: int, step: int = 1) -> int:
     return 2 * ones(table[start:stop:step]) - len(range(start, stop, step))
 
 
-def _require_class3(p: OddPrime) -> None:
-    if p.class_mod4 != 3:
-        raise ValueError(f"p = {p.value} is 1 (mod 4); statistics need p = 3 (mod 4)")
-
-
 def residue_profile(p: OddPrime) -> ResidueProfile:
     """Build the full statistics table for p = 3 (mod 4) in O(p)."""
-    _require_class3(p)
+    if p.class_mod4 != 3:
+        raise ValueError(f"p = {p.value} is 1 (mod 4); statistics need p = 3 (mod 4)")
     pv = p.value
     half = (pv - 1) // 2
     qr = bytearray(pv)

@@ -115,24 +115,23 @@ def sum_record(p: OddPrime, profile: ResidueProfile | None = None) -> SumRecord:
 # differ.  The verify layer re-derives the disagreement numerically.
 
 
-def published_t3(p: OddPrime, profile: ResidueProfile | None = None) -> int:
+def published_t3(p: OddPrime) -> int:
     """Published odd-index route: 2p * a_sum (coefficient should be p)."""
-    prof = profile or residue_profile(p)
-    return 2 * p.value * prof.a_sum
+    return 2 * p.value * residue_profile(p).a_sum
 
 
-def published_t5(p: OddPrime, profile: ResidueProfile | None = None) -> int:
+def published_t5(p: OddPrime) -> int:
     """Published interval route: p * s_high (p = 3 mod 8), p * s_low
     (p = 7 mod 8; the leading minus is missing in that branch)."""
-    prof = profile or residue_profile(p)
+    prof = residue_profile(p)
     return p.value * prof.s_high if p.class_mod8 == 3 else p.value * prof.s_low
 
 
-def published_t_from_m(p: OddPrime, profile: ResidueProfile | None = None) -> int:
+def published_t_from_m(p: OddPrime) -> int:
     """Published weighted-sum route: -M (p = 7 mod 8), 3M (p = 3 mod 8);
     both signs are opposite to what direct evaluation gives."""
-    prof = profile or residue_profile(p)
-    return -prof.m_sum if p.class_mod8 == 7 else 3 * prof.m_sum
+    m = residue_profile(p).m_sum
+    return -m if p.class_mod8 == 7 else 3 * m
 
 
 @dataclass(frozen=True)

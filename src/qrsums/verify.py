@@ -19,7 +19,7 @@ from typing import Any, NamedTuple
 
 from . import analytic
 from .arith import OddPrime, primes_in_range
-from .classnum import h_from_forms, h_from_residues
+from .classnum import h_from_forms, h_from_residues, half_units
 from .residues import ResidueProfile, chi_sum, ones, residue_profile
 from .sums import ERRATA, sum_record, t_exact, t_from_m
 
@@ -159,11 +159,9 @@ def _check_exact(p: OddPrime, rec: _Recorder) -> tuple[ResidueProfile, int]:
     hr = h_from_residues(p, prof)
     rec.expect(pv, "h_routes_agree", hf, hr)
     rec.expect_true(pv, "h_positive_odd", hf > 0 and hf % 2 == 1, hf)
-    # the discriminant -3 field has six units, so the p=3 relation carries 3
-    rec.expect(pv, "c_vs_h", pv * hf, c * (3 if pv == 3 else 1))
-    t_from_h = -pv * hf if p.class_mod8 == 7 else 3 * pv * hf
-    if pv == 3:
-        t_from_h //= 3
+    units = half_units(p)
+    rec.expect(pv, "c_vs_h", pv * hf, c * units)
+    t_from_h = -pv * hf if p.class_mod8 == 7 else 3 * pv * hf // units
     rec.expect(pv, "t_vs_h", t_from_h, t)
 
     # strict bounds
@@ -181,18 +179,12 @@ def _float_detail(r: analytic.FloatCheckResult) -> tuple:
 def _check_float_class3(
     p: OddPrime, rec: _Recorder, prof: ResidueProfile, h: int
 ) -> None:
-    tf = analytic.t_float(p, prof)
-    rec.expect_true(p.value, tf.name, tf.passed, _float_detail(tf))
+    checks = analytic.float_checks(p, prof)
+    for r in checks:
+        rec.expect_true(p.value, r.name, r.passed, _float_detail(r))
+    tf, _, _, leb, _ = checks
     gap = prof.q_o - prof.q_e
     rec.expect(p.value, "tangent_sum_rounds", gap, round(tf.computed / p.value))
-    leb = analytic.lebesgue_float(p, prof)
-    for r in (
-        analytic.c_float(p, prof),
-        analytic.whiteman_sum(p, prof),
-        leb,
-        analytic.berndt_m_float(p, prof),
-    ):
-        rec.expect_true(p.value, r.name, r.passed, _float_detail(r))
     rec.expect(p.value, "lebesgue_rounds_to_h", h, round(leb.computed))
     if p.value <= GAUSS_CAP:
         for g in analytic.gauss_sum_checks(p):
@@ -200,7 +192,7 @@ def _check_float_class3(
 
 
 def _check_float_class1(p: OddPrime, rec: _Recorder) -> None:
-    for r in (analytic.t_float(p), analytic.c_float(p)):
+    for r in analytic.float_checks(p):
         rec.expect_true(p.value, "vanishing_" + r.name, r.passed, _float_detail(r))
 
 

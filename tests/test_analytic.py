@@ -22,6 +22,7 @@ from qrsums import (
     t_float,
     whiteman_sum,
 )
+from qrsums.analytic import float_checks
 
 
 # ---- tolerance policy --------------------------------------
@@ -64,6 +65,16 @@ def test_float_suite_to_2000_both_classes():
         if p.class_mod4 == 3:
             # rounding the float recovers the exact residue-count gap
             assert round(tf.computed / p.value) == prof.q_o - prof.q_e
+
+
+def test_float_checks_names():
+    assert [r.name for r in float_checks(OddPrime(13))] == ["tangent_sum", "cotangent_sum"]
+    p = OddPrime(23)
+    checks = float_checks(p, residue_profile(p))
+    assert [r.name for r in checks] == [
+        "tangent_sum", "cotangent_sum", "whiteman_sum", "lebesgue_formula", "berndt_sum",
+    ]
+    assert checks == float_checks(p) and all(r.passed for r in checks)
 
 
 def test_whiteman_sum():

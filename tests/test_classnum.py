@@ -11,6 +11,7 @@ from qrsums import (
     primes_in_range,
     reduced_forms,
 )
+from qrsums.classnum import half_units
 
 from oracles import LARGE_SAMPLE, reduced_forms_bruteforce
 
@@ -109,3 +110,5 @@ def test_h_at_three_carries_unit_factor():
     # -3 field scale the count formula back to the true value 1
     assert h_from_residues(OddPrime(3)) == 1
     assert h_from_forms(OddPrime(3)) == 1
+    assert half_units(OddPrime(3)) == 3
+    assert all(half_units(p) == 1 for p in primes_in_range(5, 200, mod4=3))

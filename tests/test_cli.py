@@ -227,6 +227,27 @@ def test_verify_float_cap(capsys):
     assert run_cli("verify", "--from", "3", "--to", "300", "--float", "--float-cap", "50") == 0
 
 
+def test_verify_float_cap_bound(monkeypatch, capsys):
+    # tau(115966) = 0.49999 and tau(115967) = 0.50000: from there on
+    # lebesgue_formula's tolerance would let h +- 1 pass
+    assert run_cli("verify", "--from", "3", "--to", "20", "--float", "--float-cap", "115966") == 0
+    assert run_cli("verify", "--from", "3", "--to", "20", "--float", "--float-cap", "0") == 0
+    capsys.readouterr()
+
+    def never(*args, **kwargs):
+        raise AssertionError("verification started")
+
+    monkeypatch.setattr(verify_mod, "primes_in_range", never)
+    assert run_cli("verify", "--from", "3", "--to", "20", "--float", "--float-cap", "115967") == 64
+    assert run_cli("verify", "--from", "3", "--to", "20", "--float-cap", str(1 << 32)) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "qrsums: --float-cap 115967 puts the float tolerance at or above 0.5\n"
+        f"qrsums: --float-cap must be < 2^32, got {1 << 32}\n"
+    )
+
+
 # ---- gauss ---------------------------------------------------------------
 
 def test_gauss_cli(capsys):

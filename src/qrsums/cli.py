@@ -158,8 +158,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     _validate_range(args.lo, args.hi)
     cap = args.float_cap
     _below_ceiling("--float-cap", cap)
-    # from tolerance 0.5 on, lebesgue_formula would also pass h +- 1
-    if cap > 0 and analytic.sum_tolerance(cap) >= 0.5:
+    if not verify.float_cap_safe(cap):
         raise UsageError(f"--float-cap {cap} puts the float tolerance at or above 0.5")
     report = verify.run_verify(args.lo, args.hi, with_float=args.float, float_cap=cap)
     out = sys.stdout
@@ -224,7 +223,7 @@ def _build_parser() -> _Parser:
     ver.add_argument("--from", dest="lo", type=int, required=True)
     ver.add_argument("--to", dest="hi", type=int, required=True)
     ver.add_argument("--float", action="store_true")
-    ver.add_argument("--float-cap", dest="float_cap", type=int, default=10_000)
+    ver.add_argument("--float-cap", dest="float_cap", type=int, default=verify.FLOAT_CAP)
     ver.set_defaults(func=_cmd_verify)
 
     ga = sub.add_parser("gauss", help="exponential sums for every k mod p")

@@ -25,6 +25,9 @@ from .sums import ERRATA, sum_record, t_exact, t_from_m
 
 ERRATA_PRIMES = (7, 11)
 
+# the default --float-cap: float checks run for primes up to it
+FLOAT_CAP = 10_000
+
 # exponential sums are O(p^2) per prime; cap them independently of float_cap
 GAUSS_CAP = 500
 
@@ -48,34 +51,30 @@ class ErratumConfirmation:
 
 @dataclass
 class VerifyReport:
+    """One verify run: its range, the checks it ran and what they found."""
+
     range: tuple[int, int]
-    primes_checked: int
-    checks_run: int
-    failures: list[Failure]
+    primes_checked: int = 0
+    checks_run: int = 0
+    failures: list[Failure] = field(default_factory=list)
     errata_confirmations: list[ErratumConfirmation] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
-
-class _Recorder:
-    def __init__(self) -> None:
-        self.checks = 0
-        self.failures: list[Failure] = []
-
     def expect(self, p: int, check: str, expected: Any, actual: Any) -> None:
-        self.checks += 1
+        self.checks_run += 1
         if expected != actual:
             self.failures.append(Failure(p, check, expected, actual))
 
     def expect_true(self, p: int, check: str, ok: bool, detail: Any = "") -> None:
-        self.checks += 1
+        self.checks_run += 1
         if not ok:
             self.failures.append(Failure(p, check, "holds", detail or "violated"))
 
 
-def _check_exact(p: OddPrime, rec: _Recorder) -> tuple[ResidueProfile, int]:
+def _check_exact(p: OddPrime, rec: VerifyReport) -> tuple[ResidueProfile, int]:
     """Run the exact suite; return the profile and forms-route h it built."""
     pv = p.value
     prof = residue_profile(p)
@@ -177,7 +176,7 @@ def _float_detail(r: analytic.FloatCheckResult) -> tuple:
 
 
 def _check_float_class3(
-    p: OddPrime, rec: _Recorder, prof: ResidueProfile, h: int
+    p: OddPrime, rec: VerifyReport, prof: ResidueProfile, h: int
 ) -> None:
     checks = analytic.float_checks(p, prof)
     for r in checks:
@@ -191,49 +190,53 @@ def _check_float_class3(
             rec.expect_true(p.value, g.name, g.passed, _float_detail(g))
 
 
-def _check_float_class1(p: OddPrime, rec: _Recorder) -> None:
+def _check_float_class1(p: OddPrime, rec: VerifyReport) -> None:
     for r in analytic.float_checks(p):
         rec.expect_true(p.value, "vanishing_" + r.name, r.passed, _float_detail(r))
 
 
-def confirm_errata(rec: _Recorder | None = None) -> list[ErratumConfirmation]:
-    """Re-derive the published-form discrepancies at p = 7 and p = 11.
+def confirm_errata(rec: VerifyReport) -> None:
+    """Re-derive the published-form discrepancies at p = 7 and p = 11 into rec.
 
     The corrected form must equal t_exact everywhere; the published form
     must differ exactly where the misprinted branch applies.
     """
-    out = []
     for e in ERRATA:
         for pv in ERRATA_PRIMES:
             p = OddPrime(pv)
             published = e.published(p)
             corrected = e.corrected(p)
             exact = t_exact(p)
-            conf = ErratumConfirmation(
-                identity=e.identity,
-                prime=pv,
-                published_value=published,
-                corrected_value=corrected,
-                exact_value=exact,
-                discrepant=published != exact,
-            )
-            if rec is not None:
-                rec.expect(pv, f"errata_corrected[{e.identity}]", exact, corrected)
-                rec.expect(
-                    pv,
-                    f"errata_published[{e.identity}]",
-                    e.applies(p),
-                    conf.discrepant,
+            discrepant = published != exact
+            rec.expect(pv, f"errata_corrected[{e.identity}]", exact, corrected)
+            rec.expect(pv, f"errata_published[{e.identity}]", e.applies(p), discrepant)
+            rec.errata_confirmations.append(
+                ErratumConfirmation(
+                    identity=e.identity,
+                    prime=pv,
+                    published_value=published,
+                    corrected_value=corrected,
+                    exact_value=exact,
+                    discrepant=discrepant,
                 )
-            out.append(conf)
-    return out
+            )
+
+
+def float_cap_safe(cap: int) -> bool:
+    """Whether float checks up to cap stay decisive: from tolerance 0.5 on,
+    lebesgue_formula would also pass h +- 1, and from 2^32 on the primes
+    leave is_prime's proven range.  A cap of 0 or below runs no float check."""
+    return cap < 2**32 and (cap <= 0 or analytic.sum_tolerance(cap) < 0.5)
 
 
 def run_verify(
-    lo: int, hi: int, with_float: bool = False, float_cap: int = 10_000
+    lo: int, hi: int, with_float: bool = False, float_cap: int = FLOAT_CAP
 ) -> VerifyReport:
-    rec = _Recorder()
+    if not float_cap_safe(float_cap):
+        raise ValueError(f"float_cap {float_cap} is not below 2^32 with tolerance below 0.5")
+    rec = VerifyReport((lo, hi))
     primes3 = primes_in_range(max(lo, 3), hi, mod4=3)
+    rec.primes_checked = len(primes3)
     for p in primes3:
         prof, h = _check_exact(p, rec)
         if with_float and p.value <= float_cap:
@@ -241,11 +244,5 @@ def run_verify(
     if with_float and min(hi, float_cap) >= lo:
         for p in primes_in_range(max(lo, 3), min(hi, float_cap), mod4=1):
             _check_float_class1(p, rec)
-    errata = confirm_errata(rec)
-    return VerifyReport(
-        range=(lo, hi),
-        primes_checked=len(primes3),
-        checks_run=rec.checks,
-        failures=rec.failures,
-        errata_confirmations=errata,
-    )
+    confirm_errata(rec)
+    return rec

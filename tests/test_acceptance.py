@@ -9,6 +9,7 @@ import time
 
 from qrsums import (
     OddPrime,
+    VerifyReport,
     bound_harmonic,
     bound_pv,
     c_exact,
@@ -25,6 +26,7 @@ from qrsums import (
     t_float,
 )
 from qrsums import cli
+from qrsums.verify import ERRATA_PRIMES
 
 IDENTITY_HI = 20_000
 FLOAT_HI = 10_000
@@ -117,8 +119,10 @@ def test_05_spot_values():
 
 
 def test_06_errata_confirmed():
-    confs = confirm_errata()
-    wrong = []
+    report = VerifyReport(ERRATA_PRIMES)
+    confirm_errata(report)
+    confs = report.errata_confirmations
+    wrong = [("errata check failed", f) for f in report.failures]
     for c in confs:
         if c.corrected_value != c.exact_value:
             wrong.append(("corrected differs", c.identity, c.prime))
@@ -135,7 +139,7 @@ def test_06_errata_confirmed():
     }
     if discrepant != expected:
         wrong.append(("discrepancy pattern", discrepant))
-    ok = len(confs) == 6 and not wrong
+    ok = len(confs) == 6 and report.checks_run == 12 and not wrong
     assert _verdict(6, "published-form discrepancies localized", ok, f"{len(confs)} confirmations, {len(wrong)} wrong"), wrong
 
 

@@ -33,7 +33,11 @@ def test_reduced_forms_spot():
 
 
 def test_reduced_forms_match_bruteforce():
-    for p in primes_in_range(3, 1000, mod4=3):
+    # the oracle tries every b, even ones included, and sorts its list: so
+    # this pins the order, the odd b, the exact c and the absence of
+    # duplicates that reduced_forms relies on its loops for
+    primes = list(primes_in_range(3, 1000, mod4=3)) + [OddPrime(pv) for pv in LARGE_SAMPLE]
+    for p in primes:
         got = [(f.a, f.b, f.c) for f in reduced_forms(p)]
         assert got == reduced_forms_bruteforce(p.value)
 

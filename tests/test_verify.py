@@ -1,7 +1,8 @@
-"""verify's own table checks against deliberately corrupted residue tables.
+"""verify's run record, its float-cap bound, and its own table checks
+against deliberately corrupted residue tables.
 
-Each test hands verify a profile whose qr_table was altered after the
-counts were taken, so only the checks that read the table itself can see
+Each corruption test hands verify a profile whose qr_table was altered after
+the counts were taken, so only the checks that read the table itself can see
 the damage.  A check that reads the wrong entries (a slice taken in the
 wrong direction, say) would stay silent here.
 """
@@ -10,8 +11,66 @@ import dataclasses
 
 import pytest
 
-from qrsums import OddPrime, residue_profile, run_verify
+from qrsums import Failure, OddPrime, VerifyReport, confirm_errata, residue_profile, run_verify
 from qrsums import verify as verify_mod
+
+
+def test_report_starts_empty_and_ok():
+    report = VerifyReport((3, 50))
+    assert report.range == (3, 50)
+    assert (report.primes_checked, report.checks_run) == (0, 0)
+    assert report.failures == [] and report.errata_confirmations == []
+    assert report.ok
+
+
+def test_report_counts_each_check_once():
+    report = VerifyReport((3, 50))
+    report.expect(7, "same", 1, 1)
+    report.expect_true(7, "holds", True)
+    assert report.checks_run == 2 and report.ok
+    report.expect(11, "differs", 1, 2)
+    report.expect_true(11, "violated", False)
+    report.expect_true(11, "violated_with_detail", False, (3, 4))
+    assert report.checks_run == 5 and not report.ok
+    assert report.failures == [
+        Failure(11, "differs", 1, 2),
+        Failure(11, "violated", "holds", "violated"),
+        Failure(11, "violated_with_detail", "holds", (3, 4)),
+    ]
+
+
+def test_confirm_errata_records_into_the_report():
+    report = VerifyReport((7, 11))
+    confirm_errata(report)
+    assert report.checks_run == 12
+    assert len(report.errata_confirmations) == 6
+    assert report.ok, report.failures
+
+
+@pytest.mark.parametrize("hi, checks", [(50, 521), (200, 3199)])
+def test_float_checks_run_pinned(hi, checks):
+    report = run_verify(3, hi, with_float=True)
+    assert report.ok, report.failures
+    assert report.checks_run == checks
+
+
+@pytest.mark.parametrize(
+    "cap", [115967, 200_000, 1 << 32, 10**400], ids=["115967", "200000", "2^32", "10^400"]
+)
+def test_run_verify_rejects_unsafe_float_cap(monkeypatch, cap):
+    def never(*args, **kwargs):
+        raise AssertionError("verification started")
+
+    monkeypatch.setattr(verify_mod, "primes_in_range", never)
+    assert not verify_mod.float_cap_safe(cap)
+    with pytest.raises(ValueError):
+        run_verify(3, 7, with_float=True, float_cap=cap)
+
+
+@pytest.mark.parametrize("cap", [115966, 0, -5])
+def test_run_verify_accepts_safe_float_cap(cap):
+    assert verify_mod.float_cap_safe(cap)
+    assert run_verify(3, 7, with_float=True, float_cap=cap).ok
 
 # both classes mod 8, small and large, and p = 3 with its one-entry half
 PRIMES = (3, 7, 11, 19, 23, 10007, 10039, 10067, 10091)

@@ -6,7 +6,7 @@ so agreement between an oracle and the library is a genuine cross-check of
 two different computation routes.
 """
 
-from math import gcd, isqrt
+from math import cos, fsum, gcd, isqrt, pi, sin
 
 
 def trial_is_prime(n):
@@ -94,3 +94,10 @@ def reduced_forms_bruteforce(p):
 # primes = 3 (mod 4) spread over [2e4, 1e5]; used where a module invariant
 # quotes a range too large to sweep exhaustively in the unit suite
 LARGE_SAMPLE = (20011, 30011, 40031, 50023, 60083, 70003, 80039, 90007, 99991)
+
+
+def naive_gauss_sum(k, p):
+    # sum_{j=0}^{p-1} exp(2 pi i j^2 k / p) term by term, j ascending, each
+    # exponent reduced mod p before it becomes an angle
+    angles = [2.0 * pi / p * (j * j * k % p) for j in range(p)]
+    return complex(fsum(cos(a) for a in angles), fsum(sin(a) for a in angles))

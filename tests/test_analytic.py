@@ -24,6 +24,8 @@ from qrsums import (
 )
 from qrsums.analytic import float_checks
 
+from oracles import naive_gauss_sum
+
 
 # ---- tolerance policy --------------------------------------
 
@@ -120,6 +122,18 @@ def test_gauss_all_k_small():
         checks = gauss_sum_checks(OddPrime(pv))
         assert len(checks) == pv - 1
         assert all(c.passed for c in checks)
+
+
+def test_gauss_matches_term_by_term_oracle():
+    # the kernel pairs j with p - j and sums (cos, sin) parts; fsum rounds
+    # correctly, so the result must be the naive sum to the last bit
+    for p in primes_in_range(3, 400, mod4=3):
+        computed = [c.computed for c in gauss_sum_checks(p)]
+        assert computed == [naive_gauss_sum(k, p.value) for k in range(1, p.value)], p
+    p727 = OddPrime(727)
+    shared = gauss_sum_checks(p727)
+    for k in (1, 2, 5, 363, 726):
+        assert gauss_sum_float(k, p727) == shared[k - 1]
 
 
 # ---- class number formulas -----------------------------------------------

@@ -1,5 +1,6 @@
 """Command line behavior: formats, determinism, exit codes."""
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -219,8 +220,10 @@ def test_verify_empty_range(capsys):
 
 
 def test_verify_float(capsys):
-    assert run_cli("verify", "--from", "3", "--to", "300", "--float") == 0
-    assert summary_line("result", "PASS") in capsys.readouterr().out
+    assert run_cli("verify", "--from", "3", "--to", "500", "--float") == 0
+    out = capsys.readouterr().out
+    assert summary_line("checks_run", 13642) in out  # includes every Gauss sum up to 499
+    assert summary_line("result", "PASS") in out
 
 
 def test_verify_float_cap(capsys):
@@ -255,6 +258,13 @@ def test_gauss_cli(capsys):
     out = capsys.readouterr().out
     assert "gauss_sum(k=1)" in out and "gauss_sum(k=6)" in out
     assert "PASS" in out
+
+
+def test_gauss_output_pinned(capsys):
+    # every printed residual digit of the p(p-1) sums, as first released
+    assert run_cli("gauss", "--p", "727") == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "594542631bc5059e520d5816276fb00dacd502ef8c9d65bb7444926702e7901b"
 
 
 def test_gauss_cli_rejects_class1():
@@ -374,6 +384,25 @@ def test_broken_pipe_exits_quietly():
         err = proc.stderr.read().decode()
         assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ("report", "23"),
+    ("gauss", "--p", "727"),
+    ("scan", "--from", "3", "--to", "30000"),
+])
+def test_full_disk_exits_quietly(argv):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qrsums", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    assert proc.returncode == 1
+    assert proc.stderr == "qrsums: cannot write output: [Errno 28] No space left on device\n"
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores for a two-worker pool")

@@ -261,7 +261,7 @@ def test_gauss_cli(capsys):
 
 
 def test_gauss_output_pinned(capsys):
-    # every printed residual digit of the p(p-1) sums, as first released
+    # every printed digit of the p(p-1) sums: a kernel change must not move one
     assert run_cli("gauss", "--p", "727") == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "594542631bc5059e520d5816276fb00dacd502ef8c9d65bb7444926702e7901b"
@@ -393,12 +393,15 @@ def test_broken_pipe_exits_quietly():
     ("scan", "--from", "3", "--to", "30000"),
 ])
 def test_full_disk_exits_quietly(argv):
+    # stdout buffered, as by default: report's few lines fail only when flushed
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
             [sys.executable, "-m", "qrsums", *argv],
             stdout=full,
             stderr=subprocess.PIPE,
             text=True,
+            env=env,
             timeout=60,
         )
     assert proc.returncode == 1

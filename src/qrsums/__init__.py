@@ -41,7 +41,6 @@ from .analytic import (
     bound_pv,
     c_float,
     gauss_sum_checks,
-    gauss_sum_float,
     gauss_tolerance,
     lebesgue_float,
     sum_tolerance,
@@ -74,7 +73,6 @@ __all__ = [
     "compute_row",
     "confirm_errata",
     "gauss_sum_checks",
-    "gauss_sum_float",
     "gauss_tolerance",
     "h_from_forms",
     "h_from_residues",

@@ -29,10 +29,6 @@ EXIT_FAILURE = 1
 EXIT_INTERNAL = 2
 EXIT_USAGE = 64
 
-# gauss sums p(p-1) terms: about 2.7e8 for the largest eligible p below
-# 2^14, 16363, which ran in 74 s on a 2 vCPU host under CPython 3.11
-GAUSS_P_BITS = 14
-
 
 class UsageError(Exception):
     pass
@@ -95,6 +91,9 @@ def _odd_prime_arg(value: int) -> OddPrime:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     p = _odd_prime_arg(args.p)
+    # class 1 always runs its float checks; hold them to verify's bound
+    if (args.float or p.class_mod4 == 1) and not verify.float_cap_safe(p.value):
+        raise UsageError(f"float checks at p = {p.value} put the tolerance at or above 0.5")
     if p.class_mod4 == 1:
         # the sums vanish here; that is all there is to check
         fields: dict = {"p": p.value, "class_mod8": p.class_mod8}
@@ -185,8 +184,9 @@ def _cmd_gauss(args: argparse.Namespace) -> int:
     p = _odd_prime_arg(args.p)
     if p.class_mod4 != 3:
         raise UsageError(f"p = {p.value} is 1 (mod 4); the pure-imaginary closed form needs 3 (mod 4)")
-    if p.value >= 1 << GAUSS_P_BITS:
-        raise UsageError(f"gauss sums p(p-1) terms; p must be < 2^{GAUSS_P_BITS}, got {p.value}")
+    bits = analytic.GAUSS_P_BITS
+    if p.value >= 1 << bits:
+        raise UsageError(f"gauss sums p(p-1) terms; p must be < 2^{bits}, got {p.value}")
     checks = analytic.gauss_sum_checks(p)
     out = sys.stdout
     for r in checks:

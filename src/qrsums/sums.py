@@ -143,7 +143,6 @@ class Erratum:
     """
 
     identity: str
-    description: str
     published: Callable[[OddPrime], int]
     corrected: Callable[[OddPrime], int]
     applies: Callable[[OddPrime], bool]
@@ -152,30 +151,18 @@ class Erratum:
 ERRATA: tuple[Erratum, ...] = (
     Erratum(
         identity="odd_sum_coefficient",
-        description=(
-            "the odd-index chi-sum route carries coefficient p, "
-            "not the published 2p"
-        ),
         published=published_t3,
         corrected=lambda p: t_expressions(p)[2],
         applies=lambda p: True,
     ),
     Erratum(
         identity="weighted_sum_signs",
-        description=(
-            "the weighted-sum route is T = M (p = 7 mod 8) and T = -3M "
-            "(p = 3 mod 8); the published signs are the opposite"
-        ),
         published=published_t_from_m,
         corrected=t_from_m,
         applies=lambda p: True,
     ),
     Erratum(
         identity="low_interval_sign",
-        description=(
-            "the interval route for p = 7 (mod 8) is -p * s_low; "
-            "the published branch lacks the minus"
-        ),
         published=published_t5,
         corrected=lambda p: t_expressions(p)[4],
         applies=lambda p: p.class_mod8 == 7,

@@ -11,7 +11,6 @@ from qrsums import (
     bound_pv,
     c_float,
     gauss_sum_checks,
-    gauss_sum_float,
     gauss_tolerance,
     h_from_forms,
     lebesgue_float,
@@ -22,6 +21,7 @@ from qrsums import (
     t_float,
     whiteman_sum,
 )
+from qrsums import analytic
 from qrsums.analytic import float_checks
 
 from oracles import naive_gauss_sum
@@ -92,29 +92,30 @@ def test_whiteman_sum():
 # ---- exponential sums ----------------------------------------------------
 
 def test_gauss_spot():
-    p7 = OddPrime(7)
-    g1 = gauss_sum_float(1, p7)
-    assert g1.reference == complex(0, math.sqrt(7))
-    assert g1.passed
-    g3 = gauss_sum_float(3, p7)
-    assert g3.reference == complex(0, -math.sqrt(7))
-    assert g3.passed
-    g13 = gauss_sum_float(1, OddPrime(3))
-    assert abs(g13.computed - complex(0, math.sqrt(3))) < 1e-12
-
-
-def test_gauss_reduces_k():
-    p7 = OddPrime(7)
-    assert gauss_sum_float(8, p7).reference == gauss_sum_float(1, p7).reference
+    g7 = gauss_sum_checks(OddPrime(7))
+    assert g7[0].name == "gauss_sum(k=1)"
+    assert g7[0].reference == complex(0, math.sqrt(7))
+    assert g7[0].passed
+    assert g7[3 - 1].reference == complex(0, -math.sqrt(7))
+    assert g7[3 - 1].passed
+    g3 = gauss_sum_checks(OddPrime(3))
+    assert abs(g3[0].computed - complex(0, math.sqrt(3))) < 1e-12
 
 
 def test_gauss_rejects():
     with pytest.raises(ValueError):
-        gauss_sum_float(7, OddPrime(7))
-    with pytest.raises(ValueError):
-        gauss_sum_float(14, OddPrime(7))
-    with pytest.raises(ValueError):
-        gauss_sum_float(1, OddPrime(13))
+        gauss_sum_checks(OddPrime(13))
+
+
+def test_gauss_cost_bound(monkeypatch):
+    def never(x):
+        raise AssertionError("root table started")
+
+    monkeypatch.setattr(analytic.math, "cos", never)
+    with pytest.raises(ValueError, match=r"p must be < 2\^14, got 16411"):
+        gauss_sum_checks(OddPrime(16411))  # the least eligible prime above 2^14
+    with pytest.raises(AssertionError):  # the largest eligible prime below 2^14 gets through
+        gauss_sum_checks(OddPrime(16363))
 
 
 def test_gauss_all_k_small():
@@ -130,10 +131,6 @@ def test_gauss_matches_term_by_term_oracle():
     for p in primes_in_range(3, 400, mod4=3):
         computed = [c.computed for c in gauss_sum_checks(p)]
         assert computed == [naive_gauss_sum(k, p.value) for k in range(1, p.value)], p
-    p727 = OddPrime(727)
-    shared = gauss_sum_checks(p727)
-    for k in (1, 2, 5, 363, 726):
-        assert gauss_sum_float(k, p727) == shared[k - 1]
 
 
 # ---- class number formulas -----------------------------------------------

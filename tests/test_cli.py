@@ -191,6 +191,32 @@ def test_report_class1_exact_bytes(capsys):
     )
 
 
+# tau(115963) < 0.5 <= tau(115979): the 3 (mod 4) primes on either side of
+# the bound past which lebesgue_formula would also pass h +- 1
+
+@pytest.mark.parametrize("argv", [
+    ("115963", "--float"),  # the largest safe class-3 prime
+    ("115979",),  # no float checks asked for
+    ("115933",),  # class 1 runs its vanishing checks, still below the bound
+])
+def test_report_below_float_bound(argv, capsys):
+    assert run_cli("report", *argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", [("115979", "--float"), ("115981",)])
+def test_report_float_bound(argv, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("computation started past the float bound")
+
+    monkeypatch.setattr(cli, "residue_profile", never)
+    monkeypatch.setattr(cli.analytic, "float_checks", never)
+    assert run_cli("report", *argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"qrsums: float checks at p = {argv[0]} put the tolerance at or above 0.5\n"
+
+
 def test_report_composite_is_usage_error(capsys):
     assert run_cli("report", "9") == 64
     assert "not an odd prime" in capsys.readouterr().err

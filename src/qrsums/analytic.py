@@ -57,7 +57,6 @@ class FloatCheckResult:
     """
 
     name: str
-    p: OddPrime
     computed: float | complex
     reference: float | complex
     residual: float
@@ -65,13 +64,11 @@ class FloatCheckResult:
     passed: bool
 
 
-def _approx(name: str, p: OddPrime, computed: float | complex,
-            reference: float | complex, tol: float,
-            extra_ok: bool = True) -> FloatCheckResult:
+def _approx(name: str, computed: float | complex, reference: float | complex,
+            tol: float, extra_ok: bool = True) -> FloatCheckResult:
     residual = abs(computed - reference)
     return FloatCheckResult(
         name=name,
-        p=p,
         computed=computed,
         reference=reference,
         residual=residual,
@@ -93,7 +90,7 @@ def t_float(p: OddPrime, profile: ResidueProfile | None = None) -> FloatCheckRes
     )
     computed = math.sqrt(pv) * total
     ref = float(t_exact(p, profile)) if p.class_mod4 == 3 else 0.0
-    return _approx("tangent_sum", p, computed, ref, sum_tolerance(pv))
+    return _approx("tangent_sum", computed, ref, sum_tolerance(pv))
 
 
 def c_float(p: OddPrime, profile: ResidueProfile | None = None) -> FloatCheckResult:
@@ -105,7 +102,7 @@ def c_float(p: OddPrime, profile: ResidueProfile | None = None) -> FloatCheckRes
     )
     computed = math.sqrt(pv) * total
     ref = float(c_exact(p, profile)) if p.class_mod4 == 3 else 0.0
-    return _approx("cotangent_sum", p, computed, ref, sum_tolerance(pv))
+    return _approx("cotangent_sum", computed, ref, sum_tolerance(pv))
 
 
 def whiteman_sum(p: OddPrime, profile: ResidueProfile | None = None) -> FloatCheckResult:
@@ -121,7 +118,7 @@ def whiteman_sum(p: OddPrime, profile: ResidueProfile | None = None) -> FloatChe
         1.0 / math.tan(pi * (n * n % pv) / pv) for n in range(1, pv)
     )
     ref = 2.0 * c_exact(p, profile) / math.sqrt(pv)
-    return _approx("whiteman_sum", p, computed, ref, sum_tolerance(pv),
+    return _approx("whiteman_sum", computed, ref, sum_tolerance(pv),
                    extra_ok=computed > 0.0)
 
 
@@ -143,7 +140,7 @@ def gauss_sum_checks(p: OddPrime) -> list[FloatCheckResult]:
     """
     pv = p.value
     if p.class_mod4 != 3:
-        raise ValueError(f"p = {pv} is 1 (mod 4); the closed form here needs 3 (mod 4)")
+        raise ValueError(f"p = {pv} is 1 (mod 4); the pure-imaginary closed form needs 3 (mod 4)")
     if pv >= 1 << GAUSS_P_BITS:
         raise ValueError(f"gauss sums p(p-1) terms; p must be < 2^{GAUSS_P_BITS}, got {pv}")
     tau = 2.0 * math.pi / pv
@@ -156,7 +153,7 @@ def gauss_sum_checks(p: OddPrime) -> list[FloatCheckResult]:
         half = [roots[s * k % pv] for s in squares]
         computed = _compensated_complex([roots[0], *half, *half])
         ref = complex(0.0, legendre(k, p) * root_p)
-        checks.append(_approx(f"gauss_sum(k={k})", p, computed, ref, tol))
+        checks.append(_approx(f"gauss_sum(k={k})", computed, ref, tol))
     return checks
 
 
@@ -181,7 +178,7 @@ def lebesgue_float(p: OddPrime, profile: ResidueProfile | None = None) -> FloatC
     total = _chi_cot_sum(profile or residue_profile(p))
     computed = half_units(p) * total / (2.0 * math.sqrt(pv))
     ref = float(h_from_forms(p))
-    return _approx("lebesgue_formula", p, computed, ref, sum_tolerance(pv))
+    return _approx("lebesgue_formula", computed, ref, sum_tolerance(pv))
 
 
 def berndt_m_float(p: OddPrime, profile: ResidueProfile | None = None) -> FloatCheckResult:
@@ -194,7 +191,7 @@ def berndt_m_float(p: OddPrime, profile: ResidueProfile | None = None) -> FloatC
     pv = p.value
     computed = math.sqrt(pv) / 2.0 * _chi_cot_sum(prof)
     ref = float(-prof.m_sum)
-    return _approx("berndt_sum", p, computed, ref, sum_tolerance(pv))
+    return _approx("berndt_sum", computed, ref, sum_tolerance(pv))
 
 
 def float_checks(p: OddPrime, profile: ResidueProfile | None = None) -> list[FloatCheckResult]:
@@ -207,11 +204,10 @@ def float_checks(p: OddPrime, profile: ResidueProfile | None = None) -> list[Flo
     return [check(p, profile) for check in checks]
 
 
-def _bound(name: str, p: OddPrime, bound_value: float, magnitude: float,
+def _bound(name: str, bound_value: float, magnitude: float,
            strict_ok: bool) -> FloatCheckResult:
     return FloatCheckResult(
         name=name,
-        p=p,
         computed=bound_value,
         reference=magnitude,
         residual=max(0.0, magnitude - bound_value),
@@ -229,7 +225,7 @@ def bound_harmonic(p: OddPrime, profile: ResidueProfile | None = None) -> FloatC
     pv = p.value
     t = abs(t_exact(p, profile))
     bound_value = (2.0 * pv * math.sqrt(pv) / math.pi) * (1.0 + 0.5 * math.log(pv - 2))
-    return _bound("harmonic_bound", p, bound_value, float(t), t < bound_value)
+    return _bound("harmonic_bound", bound_value, float(t), t < bound_value)
 
 
 def bound_pv(p: OddPrime, profile: ResidueProfile | None = None) -> FloatCheckResult:
@@ -241,4 +237,4 @@ def bound_pv(p: OddPrime, profile: ResidueProfile | None = None) -> FloatCheckRe
     t = abs(t_exact(p, prof))
     bound_value = math.sqrt(pv) * math.log(pv)
     ok = half < bound_value and t < pv**1.5 * math.log(pv)
-    return _bound("polya_vinogradov_bound", p, bound_value, float(half), ok)
+    return _bound("polya_vinogradov_bound", bound_value, float(half), ok)

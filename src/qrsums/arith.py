@@ -92,9 +92,6 @@ class OddPrime:
         object.__setattr__(self, "class_mod4", n % 4)
         object.__setattr__(self, "class_mod8", n % 8)
 
-    def __int__(self) -> int:
-        return self.value
-
 
 def legendre(k: int, p: OddPrime) -> int:
     """Legendre symbol (k|p) in {-1, 0, +1} by Euler's criterion.

@@ -41,7 +41,7 @@ class ReducedForm:
             raise ValueError(f"not reduced: {(a, b, c)}")
         if b < 0 and (abs(b) == a or a == c):
             raise ValueError(f"boundary form must have b >= 0: {(a, b, c)}")
-        if gcd(gcd(a, abs(b)), c) != 1:
+        if gcd(a, b, c) != 1:
             raise ValueError(f"not primitive: {(a, b, c)}")
         if self.discriminant >= 0:
             raise ValueError(f"discriminant must be negative: {(a, b, c)}")
@@ -63,7 +63,7 @@ def _forms_with_leading(a: int, pv: int) -> list[ReducedForm]:
         # c >= a, and a boundary form (b = -a or a = c) takes b >= 0
         if c < a or b < 0 and (b == -a or a == c):
             continue
-        if gcd(gcd(a, abs(b)), c) != 1:
+        if gcd(a, b, c) != 1:
             # impossible for prime discriminant; a common divisor would square
             # into b^2 - 4ac = -pv
             raise InvariantError(f"imprimitive form ({a}, {b}, {c}) for p={pv}")

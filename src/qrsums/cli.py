@@ -182,12 +182,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_gauss(args: argparse.Namespace) -> int:
     p = _odd_prime_arg(args.p)
-    if p.class_mod4 != 3:
-        raise UsageError(f"p = {p.value} is 1 (mod 4); the pure-imaginary closed form needs 3 (mod 4)")
-    bits = analytic.GAUSS_P_BITS
-    if p.value >= 1 << bits:
-        raise UsageError(f"gauss sums p(p-1) terms; p must be < 2^{bits}, got {p.value}")
-    checks = analytic.gauss_sum_checks(p)
+    try:
+        checks = analytic.gauss_sum_checks(p)
+    except ValueError as exc:  # its class and cost guards, raised before any work
+        raise UsageError(str(exc)) from None
     out = sys.stdout
     for r in checks:
         _print_check(r, out)

@@ -92,7 +92,6 @@ def t_from_m(p: OddPrime, profile: ResidueProfile | None = None) -> int:
 class SumRecord:
     """Every exact sum value of one prime, all computed from one profile."""
 
-    p: OddPrime
     t_value: int
     c_value: int
     t_expr: tuple[int, int, int, int, int]
@@ -101,7 +100,6 @@ class SumRecord:
 def sum_record(p: OddPrime, profile: ResidueProfile | None = None) -> SumRecord:
     prof = profile or residue_profile(p)
     return SumRecord(
-        p=p,
         t_value=t_exact(p, prof),
         c_value=c_exact(p, prof),
         t_expr=t_expressions(p, prof),

@@ -224,7 +224,8 @@ def confirm_errata(rec: VerifyReport) -> None:
 
 def float_cap_safe(cap: int) -> bool:
     """Whether float checks up to cap stay decisive: from tolerance 0.5 on,
-    lebesgue_formula would also pass h +- 1, and from 2^32 on the primes
+    a lebesgue_formula value that rounds to h +- 1 could pass (h +- 1
+    itself fails until tolerance 1, p = 179947), and from 2^32 on the primes
     leave is_prime's proven range.  A cap of 0 or below runs no float check."""
     return cap < 2**32 and (cap <= 0 or analytic.sum_tolerance(cap) < 0.5)
 

@@ -191,6 +191,5 @@ def test_angle_reduction_equivalence():
 def test_check_result_fields():
     r = t_float(OddPrime(7))
     assert r.name == "tangent_sum"
-    assert r.p.value == 7
     assert r.residual == abs(r.computed - r.reference)
     assert r.passed == (r.residual <= r.tolerance)

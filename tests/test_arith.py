@@ -53,7 +53,6 @@ def test_odd_prime_classes():
     assert (p.value, p.class_mod4, p.class_mod8) == (23, 3, 7)
     assert (OddPrime(11).class_mod4, OddPrime(11).class_mod8) == (3, 3)
     assert (OddPrime(13).class_mod4, OddPrime(13).class_mod8) == (1, 5)
-    assert int(OddPrime(3)) == 3
 
 
 @pytest.mark.parametrize("bad", [1, 2, 4, 9, 15, 3_215_031_751])

@@ -293,8 +293,11 @@ def test_gauss_output_pinned(capsys):
     assert digest == "594542631bc5059e520d5816276fb00dacd502ef8c9d65bb7444926702e7901b"
 
 
-def test_gauss_cli_rejects_class1():
+def test_gauss_cli_rejects_class1(capsys):
     assert run_cli("gauss", "--p", "13") == 64
+    assert capsys.readouterr() == (
+        "", "qrsums: p = 13 is 1 (mod 4); the pure-imaginary closed form needs 3 (mod 4)\n"
+    )
     assert run_cli("gauss", "--p", "15") == 64
 
 
@@ -331,10 +334,10 @@ def test_prime_ceiling_is_2_to_32(monkeypatch, capsys):
 
 
 def test_gauss_cost_limit(monkeypatch, capsys):
-    def never(*args, **kwargs):
-        raise AssertionError("sums started")
+    def never(x):
+        raise AssertionError("root table started")
 
-    monkeypatch.setattr(cli.analytic, "gauss_sum_checks", never)
+    monkeypatch.setattr(cli.analytic.math, "cos", never)
     assert run_cli("gauss", "--p", "16411") == 64  # the least eligible prime above 2^14
     assert capsys.readouterr().err == "qrsums: gauss sums p(p-1) terms; p must be < 2^14, got 16411\n"
     with pytest.raises(AssertionError):  # the largest eligible prime below 2^14 gets through

@@ -43,7 +43,6 @@ from .analytic import (
     gauss_sum_checks,
     gauss_tolerance,
     lebesgue_float,
-    sum_tolerance,
     t_float,
     whiteman_sum,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "run_verify",
     "scan_rows",
     "sum_record",
-    "sum_tolerance",
     "t_exact",
     "t_expressions",
     "t_float",

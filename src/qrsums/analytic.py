@@ -8,9 +8,9 @@ Lebesgue's and Berndt's formulas scale one chi-cot sum two ways.
 
 Angles are always formed from exactly reduced integers: tan(pi n^2 / p) is
 evaluated as tan(pi * (n^2 mod p) / p), never from the unreduced product
-pi * n^2.  Terms with argument near pi/2 reach magnitude ~2p/pi and
-dominate the rounding budget, which is why the scalar tolerance scales like
-p^(3/2) * (1 + ln p).  Every sum is math.fsum, so it is correctly rounded.
+pi * n^2.  Every sum is math.fsum, so it is correctly rounded, and each
+trigonometric check is held to trig_bound, an a-priori bound on its own
+rounding error.
 """
 
 from __future__ import annotations
@@ -25,13 +25,23 @@ from .residues import ResidueProfile, residue_profile
 from .sums import c_exact, t_exact
 
 
-def sum_tolerance(p: int) -> float:
-    """Tolerance for the scalar trigonometric sums at prime value p.
+def trig_bound(p: int, scale: float, cot: bool, half: bool) -> float:
+    """Bound on |scale * fsum(f(pi m / p)) - exact|, f = tan or cot, over the
+    residues m (half) or over p - 1 terms meeting each k in [1, p-1] once up
+    to sign (k itself, or n^2 mod p for n = 1 .. p-1 at p = 3 (mod 4)).
 
-    max(1e-9 * p^(3/2) * (1 + ln p), 1e-9); every scalar comparison in this
-    module goes through this one policy, never a per-call constant.
+    First order, eps = 2^-52: three roundings keep each angle x < pi within
+    3 eps * x, which moves f by (1 + f^2) * 3 eps * pi; tan within 1 ulp (as
+    glibc documents) and five more roundings add 4 eps * sum |f|, at most
+    4 eps * sqrt(n S) for n terms with sum f^2 <= S (Cauchy-Schwarz).  Over
+    k = 1 .. p-1, S = p(p-1) for tan and (p-1)(p-2)/3 for cot (Berndt and
+    Yeap, 2002); the residues hold S/2 at p = 3 (mod 4), where one of k and
+    p - k is a residue and f^2 agrees at both, and may hold more at p = 1 (mod 4).
     """
-    return max(1e-9 * p**1.5 * (1.0 + math.log(p)), 1e-9)
+    n, s = p - 1, (p - 1) * (p - 2) / 3 if cot else p * (p - 1)
+    if half:
+        n, s = n // 2, s / 2 if p % 4 == 3 else s
+    return scale * 2.0**-52 * (3 * math.pi * (n + s) + 4 * math.sqrt(n * s))
 
 
 # gauss_sum_checks sums p(p-1) terms: about 2.7e8 for the largest eligible p
@@ -90,7 +100,7 @@ def t_float(p: OddPrime, profile: ResidueProfile | None = None) -> FloatCheckRes
     )
     computed = math.sqrt(pv) * total
     ref = float(t_exact(p, profile)) if p.class_mod4 == 3 else 0.0
-    return _approx("tangent_sum", computed, ref, sum_tolerance(pv))
+    return _approx("tangent_sum", computed, ref, trig_bound(pv, math.sqrt(pv), False, True))
 
 
 def c_float(p: OddPrime, profile: ResidueProfile | None = None) -> FloatCheckResult:
@@ -102,7 +112,7 @@ def c_float(p: OddPrime, profile: ResidueProfile | None = None) -> FloatCheckRes
     )
     computed = math.sqrt(pv) * total
     ref = float(c_exact(p, profile)) if p.class_mod4 == 3 else 0.0
-    return _approx("cotangent_sum", computed, ref, sum_tolerance(pv))
+    return _approx("cotangent_sum", computed, ref, trig_bound(pv, math.sqrt(pv), True, True))
 
 
 def whiteman_sum(p: OddPrime, profile: ResidueProfile | None = None) -> FloatCheckResult:
@@ -118,7 +128,7 @@ def whiteman_sum(p: OddPrime, profile: ResidueProfile | None = None) -> FloatChe
         1.0 / math.tan(pi * (n * n % pv) / pv) for n in range(1, pv)
     )
     ref = 2.0 * c_exact(p, profile) / math.sqrt(pv)
-    return _approx("whiteman_sum", computed, ref, sum_tolerance(pv),
+    return _approx("whiteman_sum", computed, ref, trig_bound(pv, 1.0, True, False),
                    extra_ok=computed > 0.0)
 
 
@@ -177,8 +187,8 @@ def lebesgue_float(p: OddPrime, profile: ResidueProfile | None = None) -> FloatC
     pv = p.value
     total = _chi_cot_sum(profile or residue_profile(p))
     computed = half_units(p) * total / (2.0 * math.sqrt(pv))
-    ref = float(h_from_forms(p))
-    return _approx("lebesgue_formula", computed, ref, sum_tolerance(pv))
+    tol = trig_bound(pv, half_units(p) / (2.0 * math.sqrt(pv)), True, False)
+    return _approx("lebesgue_formula", computed, float(h_from_forms(p)), tol)
 
 
 def berndt_m_float(p: OddPrime, profile: ResidueProfile | None = None) -> FloatCheckResult:
@@ -191,7 +201,7 @@ def berndt_m_float(p: OddPrime, profile: ResidueProfile | None = None) -> FloatC
     pv = p.value
     computed = math.sqrt(pv) / 2.0 * _chi_cot_sum(prof)
     ref = float(-prof.m_sum)
-    return _approx("berndt_sum", computed, ref, sum_tolerance(pv))
+    return _approx("berndt_sum", computed, ref, trig_bound(pv, math.sqrt(pv) / 2.0, True, False))
 
 
 def float_checks(p: OddPrime, profile: ResidueProfile | None = None) -> list[FloatCheckResult]:

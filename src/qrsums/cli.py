@@ -91,9 +91,6 @@ def _odd_prime_arg(value: int) -> OddPrime:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     p = _odd_prime_arg(args.p)
-    # class 1 always runs its float checks; hold them to verify's bound
-    if (args.float or p.class_mod4 == 1) and not verify.float_cap_safe(p.value):
-        raise UsageError(f"float checks at p = {p.value} put the tolerance at or above 0.5")
     if p.class_mod4 == 1:
         # the sums vanish here; that is all there is to check
         fields: dict = {"p": p.value, "class_mod8": p.class_mod8}
@@ -157,8 +154,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     _validate_range(args.lo, args.hi)
     cap = args.float_cap
     _below_ceiling("--float-cap", cap)
-    if not verify.float_cap_safe(cap):
-        raise UsageError(f"--float-cap {cap} puts the float tolerance at or above 0.5")
     report = verify.run_verify(args.lo, args.hi, with_float=args.float, float_cap=cap)
     out = sys.stdout
     lo, hi = report.range

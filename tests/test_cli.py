@@ -185,19 +185,19 @@ def test_report_class1_exact_bytes(capsys):
         "class_mod8  = 5\n"
         "vanishing checks (p = 1 mod 4):\n"
         "  tangent_sum              computed=-2.10155717231e-15  reference=0"
-        "  residual=2.10155717231e-15  tolerance=1.67096900136e-07  pass\n"
+        "  residual=2.10155717231e-15  tolerance=1.32033071219e-12  pass\n"
         "  cotangent_sum            computed=-2.40177962549e-15  reference=0"
-        "  residual=2.40177962549e-15  tolerance=1.67096900136e-07  pass\n"
+        "  residual=2.40177962549e-15  tolerance=4.29303061128e-13  pass\n"
     )
 
 
-# tau(115963) < 0.5 <= tau(115979): the 3 (mod 4) primes on either side of
-# the bound past which lebesgue_formula would also pass h +- 1
+# the 3 (mod 4) primes on either side of 115967, where a former tolerance
+# policy reached 0.5 and report refused its float checks
 
 @pytest.mark.parametrize("argv", [
-    ("115963", "--float"),  # the largest safe class-3 prime
+    ("115963", "--float"),
     ("115979",),  # no float checks asked for
-    ("115933",),  # class 1 runs its vanishing checks, still below the bound
+    ("115933",),  # class 1 runs its vanishing checks
 ])
 def test_report_below_float_bound(argv, capsys):
     assert run_cli("report", *argv) == 0
@@ -205,16 +205,15 @@ def test_report_below_float_bound(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [("115979", "--float"), ("115981",)])
-def test_report_float_bound(argv, monkeypatch, capsys):
-    def never(*args, **kwargs):
-        raise AssertionError("computation started past the float bound")
-
-    monkeypatch.setattr(cli, "residue_profile", never)
-    monkeypatch.setattr(cli.analytic, "float_checks", never)
-    assert run_cli("report", *argv) == 64
+def test_report_float_bound(argv, capsys):
+    # each check is held to its own rounding bound, which stays decisive
+    # up to 2^32, so report runs its float checks past the old limit
+    assert run_cli("report", argv[0], "--json", *argv[1:]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"qrsums: float checks at p = {argv[0]} put the tolerance at or above 0.5\n"
+    assert captured.err == ""
+    checks = json.loads(captured.out)["float_checks"]
+    assert len(checks) == (7 if "--float" in argv else 2)
+    assert all(c["pass"] and c["residual"] <= 0.5 * c["tolerance"] for c in checks)
 
 
 def test_report_composite_is_usage_error(capsys):
@@ -257,9 +256,9 @@ def test_verify_float_cap(capsys):
 
 
 def test_verify_float_cap_bound(monkeypatch, capsys):
-    # tau(115966) = 0.49999 and tau(115967) = 0.50000: from there on
-    # lebesgue_formula's tolerance would let h +- 1 pass
-    assert run_cli("verify", "--from", "3", "--to", "20", "--float", "--float-cap", "115966") == 0
+    # the cap is bounded by is_prime's proven range alone; 115967, where a
+    # former tolerance policy reached 0.5, is an ordinary cap
+    assert run_cli("verify", "--from", "3", "--to", "20", "--float", "--float-cap", "115967") == 0
     assert run_cli("verify", "--from", "3", "--to", "20", "--float", "--float-cap", "0") == 0
     capsys.readouterr()
 
@@ -267,14 +266,10 @@ def test_verify_float_cap_bound(monkeypatch, capsys):
         raise AssertionError("verification started")
 
     monkeypatch.setattr(verify_mod, "primes_in_range", never)
-    assert run_cli("verify", "--from", "3", "--to", "20", "--float", "--float-cap", "115967") == 64
     assert run_cli("verify", "--from", "3", "--to", "20", "--float-cap", str(1 << 32)) == 64
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        "qrsums: --float-cap 115967 puts the float tolerance at or above 0.5\n"
-        f"qrsums: --float-cap must be < 2^32, got {1 << 32}\n"
-    )
+    assert captured.err == f"qrsums: --float-cap must be < 2^32, got {1 << 32}\n"
 
 
 # ---- gauss ---------------------------------------------------------------

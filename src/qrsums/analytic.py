@@ -8,16 +8,25 @@ Lebesgue's and Berndt's formulas scale one chi-cot sum two ways.
 
 Angles are always formed from exactly reduced integers: tan(pi n^2 / p) is
 evaluated as tan(pi * (n^2 mod p) / p), never from the unreduced product
-pi * n^2.  Every sum is math.fsum, so it is correctly rounded, and each
-trigonometric check is held to trig_bound, an a-priori bound on its own
-rounding error.
+pi * n^2.  Each prime's angles are reduced once, into two tables the passes
+share: pi * (n^2 mod p) / p for n in [1, (p-1)/2], read by the half-range
+sums and twice by Whiteman's sum (n and p - n square alike), and pi * k / p
+for k in [1, p-1], read by the chi-cot sum.  The tables are arrays of
+doubles, about 12 p bytes at p = 3 (mod 4); only the last prime's are kept.
+Each pass still evaluates its own tan (or cot, as 1 / tan) per term.  Every
+sum is math.fsum, so it is correctly rounded whatever order the terms come
+in, and each trigonometric check is held to trig_bound, an a-priori bound on
+its own rounding error.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from itertools import chain
+from functools import lru_cache
+from itertools import chain, repeat
+from operator import getitem, truediv
 
 from .arith import OddPrime, legendre
 from .classnum import h_from_forms, half_units
@@ -87,6 +96,30 @@ def _approx(name: str, computed: float | complex, reference: float | complex,
     )
 
 
+# chi(k), indexed by k's 0/1 residue-table entry.  The passes map operator
+# functions over repeat(): in map, truediv and getitem run faster than the
+# bound methods (1.0).__truediv__ and _SIGN.__getitem__.
+_SIGN = (-1.0, 1.0)
+
+
+# Each table helper keeps the last prime's table: the float suite runs its
+# passes prime by prime, so every pass after a prime's first finds its table
+# built.  Callers only iterate the tables, never write them.  An array holds
+# 8 bytes an angle, a list of floats about 32.
+@lru_cache(maxsize=1)
+def _square_angles(pv: int) -> array:
+    """pi * (n^2 mod p) / p for n = 1 .. (p-1)/2."""
+    pi = math.pi
+    return array("d", [pi * (n * n % pv) / pv for n in range(1, (pv - 1) // 2 + 1)])
+
+
+@lru_cache(maxsize=1)
+def _unit_angles(pv: int) -> array:
+    """pi * k / p for k = 1 .. p-1."""
+    pi = math.pi
+    return array("d", [pi * k / pv for k in range(1, pv)])
+
+
 def t_float(p: OddPrime, profile: ResidueProfile | None = None) -> FloatCheckResult:
     """sqrt(p) * sum tan(pi n^2 / p) over n = 1 .. (p-1)/2, any odd prime.
 
@@ -94,11 +127,7 @@ def t_float(p: OddPrime, profile: ResidueProfile | None = None) -> FloatCheckRes
     (the terms cancel in pairs there).
     """
     pv = p.value
-    pi = math.pi
-    total = math.fsum(
-        math.tan(pi * (n * n % pv) / pv) for n in range(1, (pv - 1) // 2 + 1)
-    )
-    computed = math.sqrt(pv) * total
+    computed = math.sqrt(pv) * math.fsum(map(math.tan, _square_angles(pv)))
     ref = float(t_exact(p, profile)) if p.class_mod4 == 3 else 0.0
     return _approx("tangent_sum", computed, ref, trig_bound(pv, math.sqrt(pv), False, True))
 
@@ -106,11 +135,8 @@ def t_float(p: OddPrime, profile: ResidueProfile | None = None) -> FloatCheckRes
 def c_float(p: OddPrime, profile: ResidueProfile | None = None) -> FloatCheckResult:
     """sqrt(p) * sum cot(pi n^2 / p) over n = 1 .. (p-1)/2, any odd prime."""
     pv = p.value
-    pi = math.pi
-    total = math.fsum(
-        1.0 / math.tan(pi * (n * n % pv) / pv) for n in range(1, (pv - 1) // 2 + 1)
-    )
-    computed = math.sqrt(pv) * total
+    cots = map(truediv, repeat(1.0), map(math.tan, _square_angles(pv)))
+    computed = math.sqrt(pv) * math.fsum(cots)
     ref = float(c_exact(p, profile)) if p.class_mod4 == 3 else 0.0
     return _approx("cotangent_sum", computed, ref, trig_bound(pv, math.sqrt(pv), True, True))
 
@@ -123,10 +149,8 @@ def whiteman_sum(p: OddPrime, profile: ResidueProfile | None = None) -> FloatChe
     positivity.
     """
     pv = p.value
-    pi = math.pi
-    computed = math.fsum(
-        1.0 / math.tan(pi * (n * n % pv) / pv) for n in range(1, pv)
-    )
+    half = _square_angles(pv)  # n and p - n square alike
+    computed = math.fsum(map(truediv, repeat(1.0), map(math.tan, chain(half, half))))
     ref = 2.0 * c_exact(p, profile) / math.sqrt(pv)
     return _approx("whiteman_sum", computed, ref, trig_bound(pv, 1.0, True, False),
                    extra_ok=computed > 0.0)
@@ -170,12 +194,8 @@ def gauss_sum_checks(p: OddPrime) -> list[FloatCheckResult]:
 def _chi_cot_sum(prof: ResidueProfile) -> float:
     """sum_{k=1}^{p-1} chi(k) cot(k pi / p), the sum behind Lebesgue's and
     Berndt's formulas, with chi read from the residue table."""
-    pv = prof.p.value
-    pi = math.pi
-    table = prof.qr_table
-    return math.fsum(
-        (1.0 if table[k] else -1.0) / math.tan(pi * k / pv) for k in range(1, pv)
-    )
+    signs = map(getitem, repeat(_SIGN), prof.qr_table[1:])
+    return math.fsum(map(truediv, signs, map(math.tan, _unit_angles(prof.p.value))))
 
 
 def lebesgue_float(p: OddPrime, profile: ResidueProfile | None = None) -> FloatCheckResult:

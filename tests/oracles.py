@@ -6,7 +6,7 @@ so agreement between an oracle and the library is a genuine cross-check of
 two different computation routes.
 """
 
-from math import cos, fsum, gcd, isqrt, pi, sin
+from math import cos, fsum, gcd, isqrt, pi, sin, sqrt, tan
 
 
 def trial_is_prime(n):
@@ -101,3 +101,25 @@ def naive_gauss_sum(k, p):
     # exponent reduced mod p before it becomes an angle
     angles = [2.0 * pi / p * (j * j * k % p) for j in range(p)]
     return complex(fsum(cos(a) for a in angles), fsum(sin(a) for a in angles))
+
+
+def naive_trig_sums(p):
+    """The computed value of each float check, by name, from its defining
+    expression term by term: n ascending for the square sums, k ascending for
+    the chi-cot sum, each angle formed from the reduced integer, each sum an
+    fsum.  The last three exist only at p = 3 (mod 4)."""
+    root_p = sqrt(p)
+    tans = [tan(pi * (n * n % p) / p) for n in range(1, p)]
+    half = tans[: (p - 1) // 2]
+    sums = {
+        "tangent_sum": root_p * fsum(half),
+        "cotangent_sum": root_p * fsum(1.0 / t for t in half),
+    }
+    if p % 4 == 3:
+        residues = square_set(p)
+        chi_cot = fsum((1.0 if k in residues else -1.0) / tan(pi * k / p) for k in range(1, p))
+        units = 3 if p == 3 else 1  # w/2 for the discriminant -p field
+        sums["whiteman_sum"] = fsum(1.0 / t for t in tans)
+        sums["lebesgue_formula"] = units * chi_cot / (2.0 * root_p)
+        sums["berndt_sum"] = root_p / 2.0 * chi_cot
+    return sums

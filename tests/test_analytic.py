@@ -23,7 +23,7 @@ from qrsums import (
 from qrsums import analytic
 from qrsums.analytic import float_checks, trig_bound
 
-from oracles import naive_gauss_sum
+from oracles import naive_gauss_sum, naive_trig_sums
 
 
 # ---- tolerance policy --------------------------------------
@@ -145,6 +145,67 @@ def test_float_checks_names():
         "tangent_sum", "cotangent_sum", "whiteman_sum", "lebesgue_formula", "berndt_sum",
     ]
     assert checks == float_checks(p) and all(r.passed for r in checks)
+
+
+def test_float_sums_match_term_by_term_oracle():
+    # the passes read shared angle tables in their own order; fsum rounds
+    # correctly, so each computed value must be the naive sum to the last bit
+    for p in [*primes_in_range(3, 3000), *map(OddPrime, (9973, 10007, 99991))]:
+        computed = {r.name: r.computed for r in float_checks(p)}
+        assert computed == naive_trig_sums(p.value), p
+
+
+class CountingMath:
+    """Stands in for the math module inside qrsums.analytic, counting tan."""
+
+    def __init__(self):
+        self.tan_calls = 0
+
+    def tan(self, x):
+        self.tan_calls += 1
+        return math.tan(x)
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+
+@pytest.mark.parametrize("pv", [23, 29, 9187])
+def test_each_check_makes_its_own_tan_calls(monkeypatch, pv):
+    # the angles are shared, the tan calls are not: one per term per check
+    counting = CountingMath()
+    monkeypatch.setattr(analytic, "math", counting)
+    p = OddPrime(pv)
+    prof = residue_profile(p) if p.class_mod4 == 3 else None
+    want = [(t_float, (pv - 1) // 2), (c_float, (pv - 1) // 2)]
+    if p.class_mod4 == 3:
+        want += [(whiteman_sum, pv - 1), (lebesgue_float, pv - 1), (berndt_m_float, pv - 1)]
+    for check, calls in want:
+        counting.tan_calls = 0
+        check(p, prof)
+        assert counting.tan_calls == calls, (pv, check.__name__)
+
+
+def clear_angle_tables():
+    analytic._square_angles.cache_clear()
+    analytic._unit_angles.cache_clear()
+
+
+def test_angle_tables_built_once_per_prime():
+    clear_angle_tables()
+    float_checks(OddPrime(23))
+    squares, units = analytic._square_angles.cache_info(), analytic._unit_angles.cache_info()
+    assert (squares.misses, squares.hits) == (1, 2)  # tangent; cotangent, Whiteman
+    assert (units.misses, units.hits) == (1, 1)  # Lebesgue; Berndt
+
+
+def test_angle_tables_never_stale():
+    def fresh(pv):
+        clear_angle_tables()
+        return float_checks(OddPrime(pv))
+
+    want = {pv: fresh(pv) for pv in (23, 29, 31)}
+    for pv in (23, 29, 23, 31, 23):
+        assert float_checks(OddPrime(pv)) == want[pv], pv
 
 
 def test_whiteman_sum():

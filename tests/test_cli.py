@@ -288,6 +288,18 @@ def test_gauss_output_pinned(capsys):
     assert digest == "594542631bc5059e520d5816276fb00dacd502ef8c9d65bb7444926702e7901b"
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (("verify", "--from", "9000", "--to", "10000", "--float"),
+     "19738c4b31cdbe40682dffc0b438e0966bdd0b79bfb21c0b9c04156266244a25"),
+    (("report", "99991", "--float", "--json"),
+     "067606803313bedd15d301db84a9adcd2f073301fd07994ec4946acad68b28b5"),
+])
+def test_float_output_pinned(argv, digest, capsys):
+    # every printed digit of the five trig passes: sharing their angles must not move one
+    assert run_cli(*argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_gauss_cli_rejects_class1(capsys):
     assert run_cli("gauss", "--p", "13") == 64
     assert capsys.readouterr() == (

@@ -26,9 +26,9 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat
-from operator import getitem, truediv
+from operator import getitem, itemgetter, truediv
 
-from .arith import OddPrime, legendre
+from .arith import InvariantError, OddPrime, legendre, primitive_root
 from .classnum import h_from_forms, half_units
 from .residues import ResidueProfile, residue_profile
 from .sums import c_exact, t_exact
@@ -54,7 +54,7 @@ def trig_bound(p: int, scale: float, cot: bool, half: bool) -> float:
 
 
 # gauss_sum_checks sums p(p-1) terms: about 2.7e8 for the largest eligible p
-# below 2^14, 16363, which ran in 74 s on a 2 vCPU host under CPython 3.11
+# below 2^14, 16363, which ran in 49 s on a 2 vCPU host under CPython 3.11
 GAUSS_P_BITS = 14
 
 
@@ -156,11 +156,11 @@ def whiteman_sum(p: OddPrime, profile: ResidueProfile | None = None) -> FloatChe
                    extra_ok=computed > 0.0)
 
 
-def _compensated_complex(terms: list[tuple[float, float]]) -> complex:
-    # real and imaginary parts each correctly rounded.  The name predates the
-    # (cos, sin) pairs and stays: bench/tests patches it to count the terms.
-    flat = list(chain.from_iterable(terms))
-    return complex(math.fsum(flat[0::2]), math.fsum(flat[1::2]))
+def _compensated_complex(terms: tuple[tuple[float, float], ...]) -> complex:
+    # real and imaginary parts each correctly rounded, read from the (cos, sin)
+    # pairs in place.  The name predates the pairs and stays: bench/tests
+    # patches it to count the terms, so it sees all p of them for every k.
+    return complex(math.fsum(map(itemgetter(0), terms)), math.fsum(map(itemgetter(1), terms)))
 
 
 def gauss_sum_checks(p: OddPrime) -> list[FloatCheckResult]:
@@ -168,9 +168,13 @@ def gauss_sum_checks(p: OddPrime) -> list[FloatCheckResult]:
     every k in [1, p-1], each against its exact value i * (k|p) * sqrt(p).
 
     p must be 3 (mod 4) and below 2^GAUSS_P_BITS (the work is p(p-1) terms).
-    One (cos, sin) root table and one table of j^2 mod p, j in [1, (p-1)/2],
-    serve every k; exponents are reduced (j^2 k mod p) in exact integers,
-    once for each pair j, p - j, and all p terms are then summed.
+    k walks the powers of the least primitive root g of p, carrying a table
+    whose entry m is the (cos, sin) root of m k mod p: the next k's table is
+    (table * g)[::g], since entry m g of g copies is entry m g mod p.  One
+    gather of the entries 0 and j^2 mod p, j in [1, (p-1)/2], reads each k's
+    terms, the pair j, p - j sharing one; all p terms are then summed, and
+    the results are listed by k.  The walk's temporaries hold (g + 1) p
+    references; g <= 29 for every eligible p.
     """
     pv = p.value
     if p.class_mod4 != 3:
@@ -178,16 +182,21 @@ def gauss_sum_checks(p: OddPrime) -> list[FloatCheckResult]:
     if pv >= 1 << GAUSS_P_BITS:
         raise ValueError(f"gauss sums p(p-1) terms; p must be < 2^{GAUSS_P_BITS}, got {pv}")
     tau = 2.0 * math.pi / pv
-    roots = [(math.cos(tau * m), math.sin(tau * m)) for m in range(pv)]
-    squares = [j * j % pv for j in range(1, (pv - 1) // 2 + 1)]
+    table = [(math.cos(tau * m), math.sin(tau * m)) for m in range(pv)]
+    take = itemgetter(0, *[j * j % pv for j in range(1, (pv - 1) // 2 + 1)])
+    g = primitive_root(p)
     root_p = math.sqrt(pv)
     tol = gauss_tolerance(pv)
-    checks = []
-    for k in range(1, pv):
-        half = [roots[s * k % pv] for s in squares]
-        computed = _compensated_complex([roots[0], *half, *half])
+    checks: list[FloatCheckResult | None] = [None] * (pv - 1)
+    k = 1
+    for _ in range(pv - 1):
+        if checks[k - 1] is not None:
+            raise InvariantError(f"powers of {g} mod {pv} repeat k = {k} before covering [1, p-1]")
+        head = take(table)
+        computed = _compensated_complex((*head, *head[1:]))
         ref = complex(0.0, legendre(k, p) * root_p)
-        checks.append(_approx(f"gauss_sum(k={k})", computed, ref, tol))
+        checks[k - 1] = _approx(f"gauss_sum(k={k})", computed, ref, tol)
+        table, k = (table * g)[::g], k * g % pv
     return checks
 
 
@@ -198,8 +207,10 @@ def _chi_cot_sum(prof: ResidueProfile) -> float:
     return math.fsum(map(truediv, signs, map(math.tan, _unit_angles(prof.p.value))))
 
 
-def lebesgue_float(p: OddPrime, profile: ResidueProfile | None = None) -> FloatCheckResult:
-    """Class number by Lebesgue's cotangent formula, against h_from_forms.
+def lebesgue_float(p: OddPrime, profile: ResidueProfile | None = None,
+                   h: int | None = None) -> FloatCheckResult:
+    """Class number by Lebesgue's cotangent formula, against h (by default
+    h_from_forms(p); callers that hold it pass it in).
 
     (w/2) * (1 / (2 sqrt p)) * sum_{k=1}^{p-1} chi(k) cot(k pi / p), where
     w/2 = half_units(p) is the unit factor of the discriminant -p field.
@@ -208,7 +219,8 @@ def lebesgue_float(p: OddPrime, profile: ResidueProfile | None = None) -> FloatC
     total = _chi_cot_sum(profile or residue_profile(p))
     computed = half_units(p) * total / (2.0 * math.sqrt(pv))
     tol = trig_bound(pv, half_units(p) / (2.0 * math.sqrt(pv)), True, False)
-    return _approx("lebesgue_formula", computed, float(h_from_forms(p)), tol)
+    ref = h_from_forms(p) if h is None else h
+    return _approx("lebesgue_formula", computed, float(ref), tol)
 
 
 def berndt_m_float(p: OddPrime, profile: ResidueProfile | None = None) -> FloatCheckResult:
@@ -224,14 +236,16 @@ def berndt_m_float(p: OddPrime, profile: ResidueProfile | None = None) -> FloatC
     return _approx("berndt_sum", computed, ref, trig_bound(pv, math.sqrt(pv) / 2.0, True, False))
 
 
-def float_checks(p: OddPrime, profile: ResidueProfile | None = None) -> list[FloatCheckResult]:
+def float_checks(p: OddPrime, profile: ResidueProfile | None = None,
+                 h: int | None = None) -> list[FloatCheckResult]:
     """The float suite of one prime, in a fixed order: the two half-range
     sums (which vanish at p = 1 (mod 4)), then at p = 3 (mod 4) Whiteman's
-    sum and Lebesgue's and Berndt's formulas."""
-    checks = [t_float, c_float]
+    sum and Lebesgue's and Berndt's formulas, Lebesgue's against h if given."""
+    checks = [t_float(p, profile), c_float(p, profile)]
     if p.class_mod4 == 3:
-        checks += [whiteman_sum, lebesgue_float, berndt_m_float]
-    return [check(p, profile) for check in checks]
+        checks += [whiteman_sum(p, profile), lebesgue_float(p, profile, h),
+                   berndt_m_float(p, profile)]
+    return checks
 
 
 def _bound(name: str, bound_value: float, magnitude: float,

@@ -107,6 +107,26 @@ def legendre(k: int, p: OddPrime) -> int:
     return 1 if e == 1 else -1
 
 
+def primitive_root(p: OddPrime) -> int:
+    """The least primitive root g of p: the least g >= 2 with
+    g^((p-1)/q) != 1 (mod p) for each prime q dividing p - 1, the primes q
+    found by trial division."""
+    pv = p.value
+    rest, q, factors = pv - 1, 2, []
+    while q * q <= rest:
+        if rest % q == 0:
+            factors.append(q)
+            while rest % q == 0:
+                rest //= q
+        q += 1
+    if rest > 1:
+        factors.append(rest)
+    g = 2
+    while any(pow(g, (pv - 1) // q, pv) == 1 for q in factors):
+        g += 1
+    return g
+
+
 # Segment width for the segmented sieve; ~1 MiB of workspace per segment.
 _SEGMENT_SIZE = 1 << 20
 

@@ -99,12 +99,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
     else:
         prof = residue_profile(p)
         rec = sum_record(p, prof)
-        fields = scan.row_as_dict(scan.row_values(p, prof, rec, h_from_forms(p)))
+        h = h_from_forms(p)
+        fields = scan.row_as_dict(scan.row_values(p, prof, rec, h))
         fields["t_expr"] = list(rec.t_expr)
         heading = "float checks:"
         checks = []
         if args.float:
-            checks = analytic.float_checks(p, prof) + [
+            checks = analytic.float_checks(p, prof, h) + [
                 analytic.bound_harmonic(p, prof),
                 analytic.bound_pv(p, prof),
             ]

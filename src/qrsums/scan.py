@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-from multiprocessing import Pool
 from typing import IO, Iterable, Iterator
 
 from .arith import OddPrime, primes_in_range
@@ -52,6 +51,9 @@ def scan_rows(lo: int, hi: int, jobs: int = 1) -> Iterator[Row]:
     # per-prime cost grows with p; four chunks per worker, each handed to
     # the next free worker, keep the costly last primes from running alone
     chunksize = -(-len(primes) // (4 * jobs))
+    # imported here: a serial scan, and every other command, never loads it
+    from multiprocessing import Pool
+
     with Pool(jobs) as pool:
         yield from pool.imap(compute_row, primes, chunksize)
 

@@ -178,7 +178,7 @@ def _float_detail(r: analytic.FloatCheckResult) -> tuple:
 def _check_float_class3(
     p: OddPrime, rec: VerifyReport, prof: ResidueProfile, h: int
 ) -> None:
-    checks = analytic.float_checks(p, prof)
+    checks = analytic.float_checks(p, prof, h)
     for r in checks:
         rec.expect_true(p.value, r.name, r.passed, _float_detail(r))
     tf, _, _, leb, _ = checks

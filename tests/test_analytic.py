@@ -5,6 +5,7 @@ import math
 import pytest
 
 from qrsums import (
+    InvariantError,
     OddPrime,
     berndt_m_float,
     bound_harmonic,
@@ -254,6 +255,20 @@ def test_gauss_all_k_small():
         assert all(c.passed for c in checks)
 
 
+def test_gauss_results_listed_by_k():
+    # the walk meets k in the order of the powers of g; the list is by k
+    for p in primes_in_range(3, 400, mod4=3):
+        names = [c.name for c in gauss_sum_checks(p)]
+        assert names == [f"gauss_sum(k={k})" for k in range(1, p.value)], p
+
+
+def test_gauss_walk_must_reach_every_k(monkeypatch):
+    # 2 has order 3 mod 7: its powers 1, 2, 4 come back to 1 and miss 3, 5, 6
+    monkeypatch.setattr(analytic, "primitive_root", lambda p: 2)
+    with pytest.raises(InvariantError, match="repeat k = 1"):
+        gauss_sum_checks(OddPrime(7))
+
+
 def test_gauss_matches_term_by_term_oracle():
     # the kernel pairs j with p - j and sums (cos, sin) parts; fsum rounds
     # correctly, so the result must be the naive sum to the last bit
@@ -270,6 +285,21 @@ def test_lebesgue_rounds_to_h():
         r = lebesgue_float(p)
         assert r.passed
         assert round(r.computed) == h_from_forms(p) == r.reference
+
+
+def test_lebesgue_takes_the_callers_h(monkeypatch):
+    # a caller that holds h passes it down, and the forms are not walked again
+    p = OddPrime(23)
+    h = h_from_forms(p)
+
+    def never(p):
+        raise AssertionError("forms enumerated twice")
+
+    monkeypatch.setattr(analytic, "h_from_forms", never)
+    r = lebesgue_float(p, h=h)
+    assert r.passed and r.reference == h
+    assert float_checks(p, h=h)[3] == r
+    assert not lebesgue_float(p, h=h + 2).passed
 
 
 def test_berndt_matches_minus_m():

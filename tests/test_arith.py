@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrsums import OddPrime, is_prime, legendre, primes_in_range
+from qrsums.arith import primitive_root
 
 from oracles import legendre_euler, sieve_flags, square_set, trial_is_prime
 
@@ -164,3 +165,17 @@ def test_primes_in_range_crosses_segment_boundary():
 def test_primes_in_range_validates_elements():
     for p in primes_in_range(9_900, 10_100):
         assert trial_is_prime(p.value)
+
+
+def test_primitive_root_is_least_of_full_order():
+    # the least g whose powers mod p reach all p - 1 nonzero residues
+    def order(g, pv):
+        x, n = g, 1
+        while x != 1:
+            x, n = x * g % pv, n + 1
+        return n
+
+    for p in primes_in_range(3, 3000):
+        pv = p.value
+        want = next(g for g in range(2, pv) if order(g, pv) == pv - 1)
+        assert primitive_root(p) == want, pv

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from qrsums import CSV_HEADER, InvariantError, OddPrime, compute_row, primes_in_range, row_as_dict, scan_rows
-from qrsums import cli
+from qrsums import analytic, cli
 from qrsums import scan as scan_mod
 from qrsums import verify as verify_mod
 
@@ -88,7 +88,8 @@ class InlinePool:
 )
 def test_scan_jobs_clamped(monkeypatch, jobs, cpus, hi, workers):
     seen = []
-    monkeypatch.setattr(scan_mod, "Pool", lambda processes: InlinePool(seen, processes))
+    # scan imports Pool from multiprocessing when it needs one
+    monkeypatch.setattr(multiprocessing, "Pool", lambda processes: InlinePool(seen, processes))
     monkeypatch.setattr(scan_mod.os, "cpu_count", lambda: cpus)
     assert list(scan_rows(3, hi, jobs=jobs)) == [compute_row(p) for p in primes_in_range(3, hi, mod4=3)]
     assert seen == workers
@@ -288,6 +289,30 @@ def test_gauss_output_pinned(capsys):
     assert digest == "594542631bc5059e520d5816276fb00dacd502ef8c9d65bb7444926702e7901b"
 
 
+@pytest.mark.parametrize("pv, digest", [
+    (739, "ca435631e73a1b8a7cf45b84072ee4933b8f75275add140413522e03d3eab65d"),
+    (743, "b9a438408977dbc44b60cb066d446db3182cf57876b160f917728328682961f8"),
+])
+def test_gauss_bench_primes_pinned(pv, digest, capsys):
+    # with 727, every prime the gauss benchmark draws is pinned to the byte
+    assert run_cli("gauss", "--p", str(pv)) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_gauss_sums_p_terms_for_each_k(monkeypatch, capsys):
+    # the kernel may fetch its terms any way it likes, but each k still sums p
+    summed = analytic._compensated_complex
+    sizes = []
+
+    def counting_sum(terms):
+        sizes.append(len(terms))
+        return summed(terms)
+
+    monkeypatch.setattr(analytic, "_compensated_complex", counting_sum)
+    assert run_cli("gauss", "--p", "727") == 0
+    assert sizes == [727] * 726
+
+
 @pytest.mark.parametrize("argv, digest", [
     (("verify", "--from", "9000", "--to", "10000", "--float"),
      "19738c4b31cdbe40682dffc0b438e0966bdd0b79bfb21c0b9c04156266244a25"),
@@ -466,10 +491,10 @@ def test_broken_pipe_stops_the_pool():
 
 
 def test_cli_import_is_lean():
-    # the pool machinery loads only when a scan runs with more than one worker
+    # multiprocessing loads only when a scan runs with more than one worker
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, qrsums.cli; "
-         "print(sorted({'concurrent.futures', 'multiprocessing.pool'} & set(sys.modules)))"],
+         "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"],
         capture_output=True,
         text=True,
         timeout=60,

@@ -29,12 +29,12 @@ SEED = 7
 PINNED = {
     "verify-float": {
         "analytic.trig_evals": 456040,
-        "classnum.b_tried": 32144,
-        "classnum.forms_found": 736,
+        "classnum.b_tried": 16072,
+        "classnum.forms_found": 368,
         "residues.table_bytes": 91392,
         "residues.calls_per_prime": 1.0,
         "sums.calls_per_prime": 7.0,
-        "classnum.calls_per_prime": 2.0,
+        "classnum.calls_per_prime": 1.0,
         "verify.checks_run": 438,
     },
     "verify-exact": {

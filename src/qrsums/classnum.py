@@ -4,7 +4,8 @@ A reduced primitive positive-definite binary quadratic form a x^2 + b xy +
 c y^2 of discriminant b^2 - 4ac = -p represents one ideal class, so h(-p)
 is the number of such forms.  Reduction means |b| <= a <= c with b >= 0
 whenever |b| = a or a = c, and primitivity gcd(a, b, c) = 1 is automatic
-for prime discriminant but asserted anyway.
+for prime discriminant.  The enumeration loop applies these rules and
+asserts primitivity; ReducedForm is a plain (a, b, c) triple.
 
 The independent second route counts quadratic residues:
 
@@ -18,33 +19,19 @@ factor: h(-3) = 1, not (q_o - q_e)/3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from .arith import InvariantError, OddPrime
 from .residues import ResidueProfile, residue_profile
 
 
-@dataclass(frozen=True)
-class ReducedForm:
-    """A reduced primitive form (a, b, c) with negative discriminant."""
+class ReducedForm(NamedTuple):
+    """A form a x^2 + b xy + c y^2, as reduced_forms builds it."""
 
     a: int
     b: int
     c: int
-
-    def __post_init__(self) -> None:
-        a, b, c = self.a, self.b, self.c
-        if a <= 0 or c <= 0:
-            raise ValueError(f"outer coefficients must be positive: {(a, b, c)}")
-        if not (abs(b) <= a <= c):
-            raise ValueError(f"not reduced: {(a, b, c)}")
-        if b < 0 and (abs(b) == a or a == c):
-            raise ValueError(f"boundary form must have b >= 0: {(a, b, c)}")
-        if gcd(a, b, c) != 1:
-            raise ValueError(f"not primitive: {(a, b, c)}")
-        if self.discriminant >= 0:
-            raise ValueError(f"discriminant must be negative: {(a, b, c)}")
 
     @property
     def discriminant(self) -> int:
@@ -79,7 +66,8 @@ def reduced_forms(p: OddPrime) -> list[ReducedForm]:
     The loops visit each (a, b) once, a ascending and b ascending within it,
     so the list comes out ordered and free of duplicates; c = (b^2 + p)/4a
     is an exact quotient and b runs over odd values only, so every form has
-    discriminant -p.  tests/oracles.py re-derives the forms independently.
+    discriminant -p.  The b-loop applies the reduction rules and asserts
+    primitivity.  tests/oracles.py re-derives the forms independently.
     """
     if p.class_mod4 != 3:
         raise ValueError(f"-{p.value} is not a fundamental discriminant = 1 (mod 4)")

@@ -5,8 +5,8 @@
     qrsums verify --from A --to B [--float] [--float-cap N]
     qrsums gauss --p P
 
-Exit codes: 0 success, 1 verification failure (or an I/O problem writing
-output), 2 internal invariant violation, 64 usage error.
+Exit codes: 0 success, 1 verification failure, unwritable output or a
+worker pool that cannot start, 2 internal invariant violation, 64 usage error.
 """
 
 from __future__ import annotations
@@ -241,6 +241,9 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantError as exc:
         sys.stderr.write(f"qrsums: internal invariant violation: {exc}\n")
         return EXIT_INTERNAL
+    except scan.PoolStartError as exc:
+        sys.stderr.write(f"qrsums: {exc}\n")
+        return EXIT_FAILURE
     except BrokenPipeError:
         # the reader closed stdout early (`qrsums scan ... | head`)
         _discard_stdout()

@@ -26,6 +26,10 @@ CSV_HEADER = ",".join(COLUMNS)
 Row = tuple[int, ...]
 
 
+class PoolStartError(Exception):
+    """The system refused the processes of a --jobs pool."""
+
+
 def row_values(p: OddPrime, prof: ResidueProfile, rec: SumRecord, h: int) -> Row:
     """The row of p from its already computed profile, sum record and h."""
     return (
@@ -54,7 +58,11 @@ def scan_rows(lo: int, hi: int, jobs: int = 1) -> Iterator[Row]:
     # imported here: a serial scan, and every other command, never loads it
     from multiprocessing import Pool
 
-    with Pool(jobs) as pool:
+    try:
+        pool = Pool(jobs)  # one that fails part way stops what it started
+    except OSError as exc:
+        raise PoolStartError(f"cannot start the worker pool: {exc}") from None
+    with pool:
         yield from pool.imap(compute_row, primes, chunksize)
 
 

@@ -1,16 +1,21 @@
 """Class numbers: form enumeration against residue counts and known values."""
 
+import math
+from dataclasses import replace
+
 import pytest
 
 from qrsums import (
+    InvariantError,
     OddPrime,
-    ReducedForm,
     c_exact,
     h_from_forms,
     h_from_residues,
     primes_in_range,
     reduced_forms,
+    residue_profile,
 )
+from qrsums import classnum
 from qrsums.classnum import half_units
 
 from oracles import LARGE_SAMPLE, reduced_forms_bruteforce
@@ -46,26 +51,26 @@ def test_form_invariants():
     for p in primes_in_range(3, 2000, mod4=3):
         for f in reduced_forms(p):
             assert f.discriminant == -p.value
+            assert f.a > 0
             assert abs(f.b) <= f.a <= f.c
+            assert math.gcd(f.a, f.b, f.c) == 1
             assert f.b % 2 != 0
             if abs(f.b) == f.a or f.a == f.c:
                 assert f.b >= 0
 
 
-def test_form_validation():
-    ReducedForm(1, 1, 6)  # fine
-    with pytest.raises(ValueError):
-        ReducedForm(2, 3, 4)  # |b| > a
-    with pytest.raises(ValueError):
-        ReducedForm(3, 1, 2)  # a > c
-    with pytest.raises(ValueError):
-        ReducedForm(1, -1, 6)  # boundary form with b < 0
-    with pytest.raises(ValueError):
-        ReducedForm(2, -2, 4)  # imprimitive (and boundary)
-    with pytest.raises(ValueError):
-        ReducedForm(1, 5, 2)  # middle coefficient out of range
-    with pytest.raises(ValueError):
-        ReducedForm(-1, 1, 6)
+def test_imprimitive_form_is_an_invariant_error(monkeypatch):
+    # the enumeration's own gcd is the only primitivity check
+    monkeypatch.setattr(classnum, "gcd", lambda *args: 2)
+    with pytest.raises(InvariantError, match="imprimitive form"):
+        reduced_forms(OddPrime(23))
+
+
+def test_form_beyond_the_a_bound_is_an_invariant_error(monkeypatch):
+    # one below the true bound leaves the a = 2 forms of p = 23 to the probe
+    monkeypatch.setattr(classnum, "isqrt", lambda n: math.isqrt(n) - 1)
+    with pytest.raises(InvariantError, match="form found beyond the a-bound"):
+        reduced_forms(OddPrime(23))
 
 
 def test_reduced_forms_rejects_class1():
@@ -116,3 +121,22 @@ def test_h_at_three_carries_unit_factor():
     assert h_from_forms(OddPrime(3)) == 1
     assert half_units(OddPrime(3)) == 3
     assert all(half_units(p) == 1 for p in primes_in_range(5, 200, mod4=3))
+
+
+# the exact routes' proof-level guards, reached through a doctored profile
+
+def test_gap_not_divisible_by_3_is_an_invariant_error():
+    p = OddPrime(11)
+    prof = residue_profile(p)
+    bad = replace(prof, q_o=prof.q_o + 1)
+    with pytest.raises(InvariantError, match="not divisible by 3"):
+        c_exact(p, bad)
+    with pytest.raises(InvariantError, match="not divisible by 3"):
+        h_from_residues(p, bad)
+
+
+def test_nonpositive_class_number_is_an_invariant_error():
+    p = OddPrime(7)
+    prof = residue_profile(p)
+    with pytest.raises(InvariantError, match="nonpositive"):
+        h_from_residues(p, replace(prof, q_e=prof.q_o))

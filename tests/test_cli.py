@@ -1,5 +1,6 @@
 """Command line behavior: formats, determinism, exit codes."""
 
+import errno
 import hashlib
 import json
 import multiprocessing
@@ -7,11 +8,21 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 
-from qrsums import CSV_HEADER, InvariantError, OddPrime, compute_row, primes_in_range, row_as_dict, scan_rows
-from qrsums import analytic, cli
+from qrsums import (
+    CSV_HEADER,
+    InvariantError,
+    OddPrime,
+    compute_row,
+    primes_in_range,
+    residue_profile,
+    row_as_dict,
+    scan_rows,
+)
+from qrsums import analytic, classnum, cli
 from qrsums import scan as scan_mod
 from qrsums import verify as verify_mod
 
@@ -135,6 +146,22 @@ def test_scan_deterministic_across_jobs(tmp_path):
 
 def test_scan_unwritable_out(capsys):
     assert run_cli("scan", "--from", "3", "--to", "12", "--out", "/nonexistent/dir/x.csv") == 1
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_scan_pool_that_cannot_start(monkeypatch, capsys, tmp_path, to_file):
+    # the system refuses a process: one line naming the pool, never a write error
+    def refuse(processes):
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(multiprocessing, "Pool", refuse)
+    monkeypatch.setattr(scan_mod.os, "cpu_count", lambda: 2)
+    out = ("--out", str(tmp_path / "rows.csv")) if to_file else ()
+    assert run_cli("scan", "--from", "3", "--to", "200", "--jobs", "2", *out) == 1
+    assert capsys.readouterr().err == (
+        f"qrsums: cannot start the worker pool: [Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}\n"
+    )
+    assert multiprocessing.active_children() == []
 
 
 # ---- report --------------------------------------------------------------
@@ -395,6 +422,27 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(verify_mod, "run_verify", boom)
     assert run_cli("verify", "--from", "3", "--to", "100") == 2
     assert "internal invariant violation" in capsys.readouterr().err
+
+
+def test_imprimitive_form_exits_internal(monkeypatch, capsys):
+    monkeypatch.setattr(classnum, "gcd", lambda *args: 2)
+    assert run_cli("verify", "--from", "3", "--to", "50") == 2
+    assert capsys.readouterr().err == (
+        "qrsums: internal invariant violation: imprimitive form (1, 1, 1) for p=3\n"
+    )
+
+
+def test_doctored_profile_exits_internal(monkeypatch, capsys):
+    # q_o one too high at p = 11 leaves T(p) = 44, which 3 does not divide
+    def doctored(p):
+        prof = residue_profile(p)
+        return replace(prof, q_o=prof.q_o + 1)
+
+    monkeypatch.setattr(verify_mod, "residue_profile", doctored)
+    assert run_cli("verify", "--from", "11", "--to", "11") == 2
+    assert capsys.readouterr().err == (
+        "qrsums: internal invariant violation: T(p) = 44 not divisible by 3 at p=11\n"
+    )
 
 
 def test_internal_error_in_scan_worker(monkeypatch, capsys):

@@ -16,13 +16,11 @@ import json
 import os
 import sys
 from contextlib import closing
+from itertools import chain, islice
 from typing import IO
 
 from . import analytic, scan, verify
 from .arith import InvariantError, OddPrime
-from .classnum import h_from_forms
-from .residues import residue_profile
-from .sums import sum_record
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -97,10 +95,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         heading = "vanishing checks (p = 1 mod 4):"
         checks = analytic.float_checks(p)
     else:
-        prof = residue_profile(p)
-        rec = sum_record(p, prof)
-        h = h_from_forms(p)
-        fields = scan.row_as_dict(scan.row_values(p, prof, rec, h))
+        row, prof, rec, h = scan.prime_record(p)
+        fields = scan.row_as_dict(row)
         fields["t_expr"] = list(rec.t_expr)
         heading = "float checks:"
         checks = []
@@ -138,7 +134,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     writer = scan.write_csv if args.format == "csv" else scan.write_json
     # closing the rows terminates scan's workers at once if the writer fails
-    with closing(scan.scan_rows(args.lo, args.hi, jobs=args.jobs)) as rows:
+    with closing(scan.scan_rows(args.lo, args.hi, jobs=args.jobs)) as pending:
+        # the first row starts any pool; until it exists nothing is written
+        rows = chain(list(islice(pending, 1)), pending)
         if args.out is None:
             writer(rows, sys.stdout)
             return EXIT_OK

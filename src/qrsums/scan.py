@@ -4,7 +4,8 @@ The range is sieved once, and the rows come from an ordered map over its
 primes, so output is the same for any worker count.  With more than one
 worker the map runs on a process pool; leaving the pool terminates it, so a
 reader that goes away or a worker that fails ends the scan at once.  Every
-row value is an exact integer.
+row value is an exact integer.  prime_record builds each row, and `report`'s
+record too, and checks T and h by their second routes before either goes out.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ import json
 import os
 from typing import IO, Iterable, Iterator
 
-from .arith import OddPrime, primes_in_range
-from .classnum import h_from_forms
+from .arith import InvariantError, OddPrime, primes_in_range
+from .classnum import h_from_forms, h_from_residues
 from .residues import ResidueProfile, residue_profile
-from .sums import SumRecord, sum_record
+from .sums import SumRecord, sum_record, t_from_m
 
 COLUMNS = ("p", "class_mod8", "q_o", "q_e", "A", "M", "T", "C", "h",
            "s_low", "s_high", "even_lo", "even_hi")
@@ -30,18 +31,27 @@ class PoolStartError(Exception):
     """The system refused the processes of a --jobs pool."""
 
 
-def row_values(p: OddPrime, prof: ResidueProfile, rec: SumRecord, h: int) -> Row:
-    """The row of p from its already computed profile, sum record and h."""
-    return (
+def prime_record(p: OddPrime) -> tuple[Row, ResidueProfile, SumRecord, int]:
+    """p's row with the profile, sum record and forms-route h it is read from;
+    a T or h route that disagrees is an InvariantError naming p."""
+    prof = residue_profile(p)
+    rec = sum_record(p, prof)
+    h = h_from_forms(p)
+    t_routes = (*rec.t_expr, t_from_m(p, prof))
+    if set(t_routes) != {rec.t_value}:
+        raise InvariantError(f"T routes {t_routes} disagree with T = {rec.t_value} at p={p.value}")
+    if (h_res := h_from_residues(p, prof)) != h:
+        raise InvariantError(f"h from residues {h_res} != h from forms {h} at p={p.value}")
+    row = (
         p.value, p.class_mod8, prof.q_o, prof.q_e, prof.a_sum, prof.m_sum,
         rec.t_value, rec.c_value, h, prof.s_low, prof.s_high,
         prof.even_below_half, prof.even_above_half,
     )
+    return row, prof, rec, h
 
 
 def compute_row(p: OddPrime) -> Row:
-    prof = residue_profile(p)
-    return row_values(p, prof, sum_record(p, prof), h_from_forms(p))
+    return prime_record(p)[0]
 
 
 def scan_rows(lo: int, hi: int, jobs: int = 1) -> Iterator[Row]:

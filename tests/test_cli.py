@@ -150,18 +150,26 @@ def test_scan_unwritable_out(capsys):
 
 @pytest.mark.parametrize("to_file", [False, True])
 def test_scan_pool_that_cannot_start(monkeypatch, capsys, tmp_path, to_file):
-    # the system refuses a process: one line naming the pool, never a write error
+    # the system refuses a process: one line naming the pool, never a write
+    # error, and neither stdout nor an --out PATH is touched
     def refuse(processes):
         raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
     monkeypatch.setattr(multiprocessing, "Pool", refuse)
     monkeypatch.setattr(scan_mod.os, "cpu_count", lambda: 2)
-    out = ("--out", str(tmp_path / "rows.csv")) if to_file else ()
-    assert run_cli("scan", "--from", "3", "--to", "200", "--jobs", "2", *out) == 1
-    assert capsys.readouterr().err == (
-        f"qrsums: cannot start the worker pool: [Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}\n"
-    )
-    assert multiprocessing.active_children() == []
+    existing = tmp_path / "existing.csv"
+    existing.write_text("old,content\n")
+    missing = tmp_path / "missing.csv"
+    outs = [("--out", str(existing)), ("--out", str(missing))] if to_file else [()]
+    for out in outs:
+        assert run_cli("scan", "--from", "3", "--to", "200", "--jobs", "2", *out) == 1
+        assert capsys.readouterr() == (
+            "",
+            f"qrsums: cannot start the worker pool: [Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}\n",
+        )
+        assert multiprocessing.active_children() == []
+    assert existing.read_text() == "old,content\n"
+    assert not missing.exists()
 
 
 # ---- report --------------------------------------------------------------
@@ -382,7 +390,7 @@ def test_prime_ceiling_is_2_to_32(monkeypatch, capsys):
     def never(*args, **kwargs):
         raise AssertionError("computation started above the ceiling")
 
-    monkeypatch.setattr(cli, "residue_profile", never)
+    monkeypatch.setattr(cli.scan, "residue_profile", never)
     monkeypatch.setattr(cli.analytic, "gauss_sum_checks", never)
     first_above = (1 << 32) + 15  # the least prime above 2^32, = 3 (mod 4)
     assert run_cli("report", str(first_above)) == 64
@@ -461,6 +469,27 @@ def test_internal_error_in_scan_worker(monkeypatch, capsys):
     assert err.startswith("qrsums: internal invariant violation: forced in pid ")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert int(err.split()[-1]) != parent
+
+
+@pytest.mark.parametrize("route", ["t_from_m", "h_from_residues"])
+@pytest.mark.parametrize("argv", [
+    ("scan", "--from", "3", "--to", "200", "--jobs", "1"),
+    ("scan", "--from", "3", "--to", "200", "--jobs", "2"),
+    ("report", "23"),
+], ids=["scan-jobs1", "scan-jobs2", "report"])
+def test_disagreeing_second_route_exits_internal(monkeypatch, capsys, route, argv):
+    # scan rows and report are both checked by the routes their record holds
+    if argv[-2:] == ("--jobs", "2") and multiprocessing.get_start_method() != "fork":
+        pytest.skip("needs fork-started workers to inherit the patch")
+    monkeypatch.setattr(scan_mod, route, lambda p, prof: 0)
+    monkeypatch.setattr(scan_mod.os, "cpu_count", lambda: 2)  # keep 2 workers on 1 core
+    assert run_cli(*argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("qrsums: internal invariant violation: ")
+    assert err.endswith(f" at p={3 if argv[0] == 'scan' else 23}\n")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert multiprocessing.active_children() == []
 
 
 def test_scan_worker_error_stops_the_pool(monkeypatch, capsys):

@@ -10,13 +10,13 @@ Angles are always formed from exactly reduced integers: tan(pi n^2 / p) is
 evaluated as tan(pi * (n^2 mod p) / p), never from the unreduced product
 pi * n^2.  Each prime's angles are reduced once, into two tables the passes
 share: pi * (n^2 mod p) / p for n in [1, (p-1)/2], read by the half-range
-sums and twice by Whiteman's sum (n and p - n square alike), and pi * k / p
-for k in [1, p-1], read by the chi-cot sum.  The tables are arrays of
-doubles, about 12 p bytes at p = 3 (mod 4); only the last prime's are kept.
-Each pass still evaluates its own tan (or cot, as 1 / tan) per term.  Every
-sum is math.fsum, so it is correctly rounded whatever order the terms come
-in, and each trigonometric check is held to trig_bound, an a-priori bound on
-its own rounding error.
+sums, twice by Whiteman's sum (n and p - n square alike) and by the chi-cot
+sum, which reads their reflections pi * (p - n^2 mod p) / p next.  They are
+arrays of doubles, about 8 p bytes at p = 3 (mod 4); only the last prime's
+are kept.  Each pass still evaluates its own tan (or cot, as 1 / tan) per
+term.  Every sum is math.fsum, so it is correctly rounded whatever order the
+terms come in, and each trigonometric check is held to trig_bound, an
+a-priori bound on its own rounding error.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat
-from operator import getitem, itemgetter, truediv
+from operator import itemgetter, truediv
 
 from .arith import InvariantError, OddPrime, legendre, primitive_root
 from .classnum import h_from_forms, half_units
@@ -96,12 +96,6 @@ def _approx(name: str, computed: float | complex, reference: float | complex,
     )
 
 
-# chi(k), indexed by k's 0/1 residue-table entry.  The passes map operator
-# functions over repeat(): in map, truediv and getitem run faster than the
-# bound methods (1.0).__truediv__ and _SIGN.__getitem__.
-_SIGN = (-1.0, 1.0)
-
-
 # Each table helper keeps the last prime's table: the float suite runs its
 # passes prime by prime, so every pass after a prime's first finds its table
 # built.  Callers only iterate the tables, never write them.  An array holds
@@ -114,10 +108,10 @@ def _square_angles(pv: int) -> array:
 
 
 @lru_cache(maxsize=1)
-def _unit_angles(pv: int) -> array:
-    """pi * k / p for k = 1 .. p-1."""
+def _nonsquare_angles(pv: int) -> array:
+    """pi * (p - n^2 mod p) / p for n = 1 .. (p-1)/2."""
     pi = math.pi
-    return array("d", [pi * k / pv for k in range(1, pv)])
+    return array("d", [pi * (pv - n * n % pv) / pv for n in range(1, (pv - 1) // 2 + 1)])
 
 
 def t_float(p: OddPrime, profile: ResidueProfile | None = None) -> FloatCheckResult:
@@ -200,15 +194,19 @@ def gauss_sum_checks(p: OddPrime) -> list[FloatCheckResult]:
     return checks
 
 
-def _chi_cot_sum(prof: ResidueProfile) -> float:
+def _chi_cot_sum(p: OddPrime) -> float:
     """sum_{k=1}^{p-1} chi(k) cot(k pi / p), the sum behind Lebesgue's and
-    Berndt's formulas, with chi read from the residue table."""
-    signs = map(getitem, repeat(_SIGN), prof.qr_table[1:])
-    return math.fsum(map(truediv, signs, map(math.tan, _unit_angles(prof.p.value))))
+    Berndt's formulas, p = 3 (mod 4).  There chi(-1) = -1, so chi(k) is +1
+    at the squares n^2 mod p and -1 at their reflections p - n^2 mod p."""
+    pv = p.value
+    if p.class_mod4 != 3:
+        raise ValueError(f"p = {pv} is 1 (mod 4); the chi-cot sum needs 3 (mod 4)")
+    plus = map(truediv, repeat(1.0), map(math.tan, _square_angles(pv)))
+    minus = map(truediv, repeat(-1.0), map(math.tan, _nonsquare_angles(pv)))
+    return math.fsum(chain(plus, minus))
 
 
-def lebesgue_float(p: OddPrime, profile: ResidueProfile | None = None,
-                   h: int | None = None) -> FloatCheckResult:
+def lebesgue_float(p: OddPrime, *, h: int | None = None) -> FloatCheckResult:
     """Class number by Lebesgue's cotangent formula, against h (by default
     h_from_forms(p); callers that hold it pass it in).
 
@@ -216,7 +214,7 @@ def lebesgue_float(p: OddPrime, profile: ResidueProfile | None = None,
     w/2 = half_units(p) is the unit factor of the discriminant -p field.
     """
     pv = p.value
-    total = _chi_cot_sum(profile or residue_profile(p))
+    total = _chi_cot_sum(p)
     computed = half_units(p) * total / (2.0 * math.sqrt(pv))
     tol = trig_bound(pv, half_units(p) / (2.0 * math.sqrt(pv)), True, False)
     ref = h_from_forms(p) if h is None else h
@@ -231,7 +229,7 @@ def berndt_m_float(p: OddPrime, profile: ResidueProfile | None = None) -> FloatC
     """
     prof = profile or residue_profile(p)
     pv = p.value
-    computed = math.sqrt(pv) / 2.0 * _chi_cot_sum(prof)
+    computed = math.sqrt(pv) / 2.0 * _chi_cot_sum(p)
     ref = float(-prof.m_sum)
     return _approx("berndt_sum", computed, ref, trig_bound(pv, math.sqrt(pv) / 2.0, True, False))
 
@@ -243,7 +241,7 @@ def float_checks(p: OddPrime, profile: ResidueProfile | None = None,
     sum and Lebesgue's and Berndt's formulas, Lebesgue's against h if given."""
     checks = [t_float(p, profile), c_float(p, profile)]
     if p.class_mod4 == 3:
-        checks += [whiteman_sum(p, profile), lebesgue_float(p, profile, h),
+        checks += [whiteman_sum(p, profile), lebesgue_float(p, h=h),
                    berndt_m_float(p, profile)]
     return checks
 

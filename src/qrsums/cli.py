@@ -14,10 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
-from contextlib import closing
+import tempfile
+from contextlib import closing, contextmanager
 from itertools import chain, islice
-from typing import IO
+from typing import IO, Iterator
 
 from . import analytic, scan, verify
 from .arith import InvariantError, OddPrime
@@ -128,6 +130,39 @@ def _validate_range(lo: int, hi: int) -> None:
     _below_ceiling("--to", hi)
 
 
+@contextmanager
+def _out_file(path: str) -> Iterator[IO[str]]:
+    """A text file for --out PATH that leaves PATH as it was if the writing fails.
+
+    A missing PATH, or a regular file once symlinks are resolved, is written
+    to a temporary file beside it, which takes PATH's place (and an existing
+    file's mode) only when the writing ends; on any failure it is removed.
+    Anything else, such as /dev/null or a FIFO, is written in place, since
+    replacing it would put a regular file where a device or a pipe was.
+    """
+    real = os.path.realpath(path)
+    try:
+        mode = os.stat(real).st_mode
+    except FileNotFoundError:
+        umask = os.umask(0)  # os.umask only reads the mask by setting it
+        os.umask(umask)
+        mode = stat.S_IFREG | (0o666 & ~umask)  # as open(path, "w") would create it
+    if not stat.S_ISREG(mode):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        return
+    fd, tmp = tempfile.mkstemp(prefix=f".{os.path.basename(real)}.", suffix=".tmp",
+                               dir=os.path.dirname(real))
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.chmod(tmp, stat.S_IMODE(mode))
+        os.replace(tmp, real)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _cmd_scan(args: argparse.Namespace) -> int:
     _validate_range(args.lo, args.hi)
     if args.jobs < 1:
@@ -141,7 +176,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             writer(rows, sys.stdout)
             return EXIT_OK
         try:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            with _out_file(args.out) as fh:
                 writer(rows, fh)
         except OSError as exc:
             sys.stderr.write(f"qrsums: cannot write {args.out}: {exc}\n")

@@ -24,6 +24,7 @@ from qrsums import (
 from qrsums import analytic
 from qrsums.analytic import float_checks, trig_bound
 
+from guards import Started, fail_fast, never
 from oracles import naive_gauss_sum, naive_trig_sums
 
 
@@ -176,27 +177,45 @@ def test_each_check_makes_its_own_tan_calls(monkeypatch, pv):
     counting = CountingMath()
     monkeypatch.setattr(analytic, "math", counting)
     p = OddPrime(pv)
-    prof = residue_profile(p) if p.class_mod4 == 3 else None
-    want = [(t_float, (pv - 1) // 2), (c_float, (pv - 1) // 2)]
+    prof_kw = {"profile": residue_profile(p) if p.class_mod4 == 3 else None}
+    half = (pv - 1) // 2
+    want = [(t_float, prof_kw, half), (c_float, prof_kw, half)]
     if p.class_mod4 == 3:
-        want += [(whiteman_sum, pv - 1), (lebesgue_float, pv - 1), (berndt_m_float, pv - 1)]
-    for check, calls in want:
+        want += [(whiteman_sum, prof_kw, pv - 1), (lebesgue_float, {"h": h_from_forms(p)}, pv - 1),
+                 (berndt_m_float, prof_kw, pv - 1)]
+    for check, kwargs, calls in want:
         counting.tan_calls = 0
-        check(p, prof)
+        check(p, **kwargs)
         assert counting.tan_calls == calls, (pv, check.__name__)
 
 
 def clear_angle_tables():
     analytic._square_angles.cache_clear()
-    analytic._unit_angles.cache_clear()
+    analytic._nonsquare_angles.cache_clear()
 
 
 def test_angle_tables_built_once_per_prime():
     clear_angle_tables()
     float_checks(OddPrime(23))
-    squares, units = analytic._square_angles.cache_info(), analytic._unit_angles.cache_info()
-    assert (squares.misses, squares.hits) == (1, 2)  # tangent; cotangent, Whiteman
-    assert (units.misses, units.hits) == (1, 1)  # Lebesgue; Berndt
+    squares = analytic._square_angles.cache_info()
+    nonsquares = analytic._nonsquare_angles.cache_info()
+    assert (squares.misses, squares.hits) == (1, 4)  # tangent; cotangent, Whiteman, Lebesgue, Berndt
+    assert (nonsquares.misses, nonsquares.hits) == (1, 1)  # Lebesgue; Berndt
+
+
+def test_chi_cot_angles_are_the_unit_angles():
+    # at p = 3 (mod 4) the squares and their reflections p - n^2 mod p meet
+    # each k in [1, p-1] once, and both tables form pi * k / p from the
+    # integer k: the same doubles, so fsum returns the chi-weighted sum over
+    # k, read from the residue table, to the last bit
+    for p in primes_in_range(3, 2000, mod4=3):
+        pv = p.value
+        units = [math.pi * k / pv for k in range(1, pv)]
+        angles = [*analytic._square_angles(pv), *analytic._nonsquare_angles(pv)]
+        assert sorted(angles) == sorted(units), pv
+        chi = residue_profile(p).chi
+        want = math.fsum(chi(k) / math.tan(x) for k, x in enumerate(units, 1))
+        assert analytic._chi_cot_sum(p) == want, pv
 
 
 def test_angle_tables_never_stale():
@@ -238,13 +257,10 @@ def test_gauss_rejects():
 
 
 def test_gauss_cost_bound(monkeypatch):
-    def never(x):
-        raise AssertionError("root table started")
-
     monkeypatch.setattr(analytic.math, "cos", never)
     with pytest.raises(ValueError, match=r"p must be < 2\^14, got 16411"):
         gauss_sum_checks(OddPrime(16411))  # the least eligible prime above 2^14
-    with pytest.raises(AssertionError):  # the largest eligible prime below 2^14 gets through
+    with fail_fast(), pytest.raises(Started):  # the largest eligible prime below 2^14 gets through
         gauss_sum_checks(OddPrime(16363))
 
 
@@ -300,6 +316,14 @@ def test_lebesgue_takes_the_callers_h(monkeypatch):
     assert r.passed and r.reference == h
     assert float_checks(p, h=h)[3] == r
     assert not lebesgue_float(p, h=h + 2).passed
+
+
+def test_chi_cot_checks_reject_class1():
+    # chi(-1) = +1 at p = 1 (mod 4): the squares' reflections are squares too
+    with pytest.raises(ValueError, match=r"p = 13 is 1 \(mod 4\)"):
+        lebesgue_float(OddPrime(13), h=1)
+    with pytest.raises(ValueError, match=r"p = 13 is 1 \(mod 4\)"):
+        berndt_m_float(OddPrime(13))
 
 
 def test_berndt_matches_minus_m():

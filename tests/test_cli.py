@@ -5,8 +5,10 @@ import hashlib
 import json
 import multiprocessing
 import os
+import stat
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import replace
 
@@ -25,6 +27,8 @@ from qrsums import (
 from qrsums import analytic, classnum, cli
 from qrsums import scan as scan_mod
 from qrsums import verify as verify_mod
+
+from guards import Started, fail_fast, never
 
 EXPECTED_SCAN_3_12 = (
     "p,class_mod8,q_o,q_e,A,M,T,C,h,s_low,s_high,even_lo,even_hi\n"
@@ -172,6 +176,63 @@ def test_scan_pool_that_cannot_start(monkeypatch, capsys, tmp_path, to_file):
     assert not missing.exists()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_scan_failing_midway_leaves_out_as_it_was(monkeypatch, capsys, tmp_path, jobs):
+    # the rows below p = 4051 are written, then one fails: an --out PATH keeps
+    # its old bytes, or is not created, and no temporary file is left.  With
+    # 2 workers, 4051 opens the third of eight chunks of 142 primes: chunks
+    # this long keep a worker computing, not sending, when the pool ends
+    if jobs == "2" and multiprocessing.get_start_method() != "fork":
+        pytest.skip("needs fork-started workers to inherit the patch")
+    h_from_forms = scan_mod.h_from_forms
+
+    def fail_at_4051(p):
+        if p.value == 4051:
+            raise InvariantError("forced at p = 4051")
+        return h_from_forms(p)
+
+    monkeypatch.setattr(scan_mod, "h_from_forms", fail_at_4051)
+    monkeypatch.setattr(scan_mod.os, "cpu_count", lambda: 2)  # keep 2 workers on 1 core
+    existing = tmp_path / "existing.csv"
+    existing.write_text("old,content\n")
+    for out in (existing, tmp_path / "missing.csv"):
+        assert run_cli("scan", "--from", "3", "--to", "20000", "--jobs", jobs, "--out", str(out)) == 2
+        assert capsys.readouterr() == ("", "qrsums: internal invariant violation: forced at p = 4051\n")
+    assert existing.read_text() == "old,content\n"
+    assert list(tmp_path.iterdir()) == [existing]
+
+
+def test_scan_out_keeps_links_modes_and_pipes(capsys, tmp_path):
+    # a regular file is replaced behind its symlink and keeps its mode; a
+    # new one gets open()'s mode; a FIFO is written in place and stays one
+    assert run_cli("scan", "--from", "3", "--to", "200") == 0
+    rows = capsys.readouterr().out
+    target = tmp_path / "rows.csv"
+    target.write_text("old,content\n")
+    target.chmod(0o640)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    fresh = tmp_path / "fresh.csv"
+    for out in (link, fresh):
+        assert run_cli("scan", "--from", "3", "--to", "200", "--out", str(out)) == 0
+    assert link.is_symlink() and target.read_text() == rows == fresh.read_text()
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(fresh.stat().st_mode) == 0o666 & ~umask
+
+    fifo = tmp_path / "rows.fifo"
+    os.mkfifo(fifo)
+    read = []
+    reader = threading.Thread(target=lambda: read.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert run_cli("scan", "--from", "3", "--to", "200", "--out", str(fifo)) == 0
+    reader.join(timeout=10)
+    assert not reader.is_alive() and read == [rows]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert sorted(tmp_path.iterdir()) == sorted([target, link, fresh, fifo])
+
+
 # ---- report --------------------------------------------------------------
 
 def test_report_23(capsys):
@@ -225,6 +286,21 @@ def test_report_class1_exact_bytes(capsys):
         "  cotangent_sum            computed=-2.40177962549e-15  reference=0"
         "  residual=2.40177962549e-15  tolerance=4.29303061128e-13  pass\n"
     )
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("verify", "--from", "9000", "--to", "10000", "--float"),
+     "19738c4b31cdbe40682dffc0b438e0966bdd0b79bfb21c0b9c04156266244a25"),
+    (("report", "99991", "--float", "--json"),
+     "067606803313bedd15d301db84a9adcd2f073301fd07994ec4946acad68b28b5"),
+    (("report", "9187", "--float", "--json"),
+     "5ae501682a8ea701a943b7ee4b633e44f6c700900c4b9d1ecff324b751610c68"),
+])
+def test_float_output_pinned(argv, digest, capsys):
+    # every printed digit of the five trig passes (and, from report, the two
+    # bounds): sharing their angles or their terms must not move one
+    assert run_cli(*argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 # the 3 (mod 4) primes on either side of 115967, where a former tolerance
@@ -348,18 +424,6 @@ def test_gauss_sums_p_terms_for_each_k(monkeypatch, capsys):
     assert sizes == [727] * 726
 
 
-@pytest.mark.parametrize("argv, digest", [
-    (("verify", "--from", "9000", "--to", "10000", "--float"),
-     "19738c4b31cdbe40682dffc0b438e0966bdd0b79bfb21c0b9c04156266244a25"),
-    (("report", "99991", "--float", "--json"),
-     "067606803313bedd15d301db84a9adcd2f073301fd07994ec4946acad68b28b5"),
-])
-def test_float_output_pinned(argv, digest, capsys):
-    # every printed digit of the five trig passes: sharing their angles must not move one
-    assert run_cli(*argv) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
-
-
 def test_gauss_cli_rejects_class1(capsys):
     assert run_cli("gauss", "--p", "13") == 64
     assert capsys.readouterr() == (
@@ -387,27 +451,21 @@ def test_huge_prime_rejected(argv):
 
 
 def test_prime_ceiling_is_2_to_32(monkeypatch, capsys):
-    def never(*args, **kwargs):
-        raise AssertionError("computation started above the ceiling")
-
     monkeypatch.setattr(cli.scan, "residue_profile", never)
     monkeypatch.setattr(cli.analytic, "gauss_sum_checks", never)
     first_above = (1 << 32) + 15  # the least prime above 2^32, = 3 (mod 4)
     assert run_cli("report", str(first_above)) == 64
     assert run_cli("gauss", "--p", str(first_above)) == 64
     assert capsys.readouterr().err == 2 * f"qrsums: p must be < 2^32, got {first_above}\n"
-    with pytest.raises(AssertionError):  # the largest prime below 2^32 gets through
+    with fail_fast(), pytest.raises(Started):  # the largest prime below 2^32 gets through
         run_cli("report", str((1 << 32) - 5))
 
 
 def test_gauss_cost_limit(monkeypatch, capsys):
-    def never(x):
-        raise AssertionError("root table started")
-
     monkeypatch.setattr(cli.analytic.math, "cos", never)
     assert run_cli("gauss", "--p", "16411") == 64  # the least eligible prime above 2^14
     assert capsys.readouterr().err == "qrsums: gauss sums p(p-1) terms; p must be < 2^14, got 16411\n"
-    with pytest.raises(AssertionError):  # the largest eligible prime below 2^14 gets through
+    with fail_fast(), pytest.raises(Started):  # the largest eligible prime below 2^14 gets through
         run_cli("gauss", "--p", "16363")
 
 

@@ -23,6 +23,7 @@ from qrsums import (
 )
 from qrsums import analytic
 from qrsums.analytic import float_checks, trig_bound
+from qrsums.arith import primitive_root
 
 from guards import Started, fail_fast, never
 from oracles import naive_gauss_sum, naive_trig_sums
@@ -291,6 +292,30 @@ def test_gauss_matches_term_by_term_oracle():
     for p in primes_in_range(3, 400, mod4=3):
         computed = [c.computed for c in gauss_sum_checks(p)]
         assert computed == [naive_gauss_sum(k, p.value) for k in range(1, p.value)], p
+
+
+def test_gauss_each_k_sums_its_own_terms(monkeypatch):
+    # every k of one chi class sums the same multiset of terms, so fsum gives
+    # them one double and the oracle above cannot see a head that never steps
+    calls = []
+    summed = analytic._compensated_complex
+
+    def recording_sum(terms):
+        calls.append(terms)
+        return summed(terms)
+
+    monkeypatch.setattr(analytic, "_compensated_complex", recording_sum)
+    for p in [*primes_in_range(3, 400, mod4=3), OddPrime(719), OddPrime(727)]:
+        pv, tau = p.value, 2.0 * math.pi / p.value
+        calls.clear()
+        gauss_sum_checks(p)
+        g = primitive_root(p)
+        assert len(calls) == pv - 1, pv
+        for i, terms in enumerate(calls):
+            k = pow(g, i, pv)
+            squares = [j * j * k % pv for j in range((pv + 1) // 2)]
+            head = [(math.cos(tau * m), math.sin(tau * m)) for m in squares]
+            assert list(terms) == head + head[1:], (pv, k)
 
 
 # ---- class number formulas -----------------------------------------------

@@ -401,6 +401,7 @@ def test_gauss_output_pinned(capsys):
 
 
 @pytest.mark.parametrize("pv, digest", [
+    (719, "7507d7fdfc51e149be164b19fe250e02cdbc7eb44d1a2109ce8ef58b3d1c78c3"),
     (739, "ca435631e73a1b8a7cf45b84072ee4933b8f75275add140413522e03d3eab65d"),
     (743, "b9a438408977dbc44b60cb066d446db3182cf57876b160f917728328682961f8"),
 ])

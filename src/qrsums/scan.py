@@ -2,22 +2,26 @@
 
 The range is sieved once, and the rows come from an ordered map over its
 primes, so output is the same for any worker count.  With more than one
-worker the map runs on a process pool; leaving the pool terminates it, so a
-reader that goes away or a worker that fails ends the scan at once.  Every
-row value is an exact integer.  prime_record builds each row, and `report`'s
-record too, and checks T and h by their second routes before either goes out.
+worker the map runs on a process pool, which is stopped, closed and joined,
+never terminated: a reader that goes away, a worker that fails or Ctrl-C
+ends the scan within one prime per worker.  Every row value is an exact
+integer.  prime_record builds each row, and `report`'s record too, and runs
+verify's record checks on it (T, C and h by their second routes) before
+either goes out.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import signal
 from typing import IO, Iterable, Iterator
 
 from .arith import InvariantError, OddPrime, primes_in_range
-from .classnum import h_from_forms, h_from_residues
+from .classnum import h_from_forms
 from .residues import ResidueProfile, residue_profile
-from .sums import SumRecord, sum_record, t_from_m
+from .sums import SumRecord, sum_record
+from .verify import VerifyReport, check_record
 
 COLUMNS = ("p", "class_mod8", "q_o", "q_e", "A", "M", "T", "C", "h",
            "s_low", "s_high", "even_lo", "even_hi")
@@ -33,15 +37,14 @@ class PoolStartError(Exception):
 
 def prime_record(p: OddPrime) -> tuple[Row, ResidueProfile, SumRecord, int]:
     """p's row with the profile, sum record and forms-route h it is read from;
-    a T or h route that disagrees is an InvariantError naming p."""
+    the first of verify's record checks to fail is an InvariantError naming it."""
     prof = residue_profile(p)
     rec = sum_record(p, prof)
     h = h_from_forms(p)
-    t_routes = (*rec.t_expr, t_from_m(p, prof))
-    if set(t_routes) != {rec.t_value}:
-        raise InvariantError(f"T routes {t_routes} disagree with T = {rec.t_value} at p={p.value}")
-    if (h_res := h_from_residues(p, prof)) != h:
-        raise InvariantError(f"h from residues {h_res} != h from forms {h} at p={p.value}")
+    checked = VerifyReport((p.value, p.value))
+    check_record(p, prof, rec, h, checked)
+    for f in checked.failures[:1]:
+        raise InvariantError(f"{f.check}: expected {f.expected}, got {f.actual} at p={f.p}")
     row = (
         p.value, p.class_mod8, prof.q_o, prof.q_e, prof.a_sum, prof.m_sum,
         rec.t_value, rec.c_value, h, prof.s_low, prof.s_high,
@@ -52,6 +55,21 @@ def prime_record(p: OddPrime) -> tuple[Row, ResidueProfile, SumRecord, int]:
 
 def compute_row(p: OddPrime) -> Row:
     return prime_record(p)[0]
+
+
+# a pool worker's copy of its scan's stop event, set by _start_worker
+_stop = None
+
+
+def _start_worker(stop) -> None:
+    global _stop
+    _stop = stop
+    # Ctrl-C reaches the whole process group; the parent alone acts on it
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _row_unless_stopped(p: OddPrime) -> Row | None:
+    return None if _stop.is_set() else compute_row(p)
 
 
 def scan_rows(lo: int, hi: int, jobs: int = 1) -> Iterator[Row]:
@@ -66,14 +84,21 @@ def scan_rows(lo: int, hi: int, jobs: int = 1) -> Iterator[Row]:
     # the next free worker, keep the costly last primes from running alone
     chunksize = -(-len(primes) // (4 * jobs))
     # imported here: a serial scan, and every other command, never loads it
-    from multiprocessing import Pool
+    from multiprocessing import Event, Pool
 
     try:
-        pool = Pool(jobs)  # one that fails part way stops what it started
+        stop = Event()
+        pool = Pool(jobs, _start_worker, (stop,))  # one that fails part way stops what it started
     except OSError as exc:
         raise PoolStartError(f"cannot start the worker pool: {exc}") from None
-    with pool:
-        yield from pool.imap(compute_row, primes, chunksize)
+    try:
+        yield from pool.imap(_row_unless_stopped, primes, chunksize)
+    finally:
+        # never Pool.terminate: a worker killed while it sends a result can
+        # leave the result queue locked and the pool's threads blocked for good
+        stop.set()
+        pool.close()
+        pool.join()
 
 
 def row_as_dict(row: Row) -> dict[str, int]:

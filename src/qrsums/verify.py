@@ -1,11 +1,14 @@
 """Range verification: every identity, both exact routes, one report.
 
 For each prime p = 3 (mod 4) in range the full exact invariant suite runs
-(residue statistics, the six T routes, C, both class number routes, the
-interval and parity laws, the strict bounds).  With floats enabled the
-defining trigonometric expressions are re-evaluated in double precision
-for primes up to a cap, including the vanishing checks at p = 1 (mod 4)
-and the exponential sums for small p.
+(residue statistics, the interval and parity laws, the table checks, the
+record checks, the strict bounds).  The record checks, check_record, need
+no table: the six T routes, the shapes of T and C, both class number
+routes, and C and T against p*h.  scan and report run them too, on every
+row and record they print.  With floats enabled the defining trigonometric
+expressions are re-evaluated in double precision for primes up to a cap,
+including the vanishing checks at p = 1 (mod 4) and the exponential sums
+for small p.
 
 Independently of the range, the three published-form discrepancies are
 re-derived at p = 7 and p = 11 and the corrected forms confirmed; the
@@ -21,7 +24,7 @@ from . import analytic
 from .arith import OddPrime, primes_in_range
 from .classnum import h_from_forms, h_from_residues, half_units
 from .residues import ResidueProfile, chi_sum, ones, residue_profile
-from .sums import ERRATA, sum_record, t_exact, t_from_m
+from .sums import ERRATA, SumRecord, sum_record, t_exact, t_from_m
 
 ERRATA_PRIMES = (7, 11)
 
@@ -74,13 +77,44 @@ class VerifyReport:
             self.failures.append(Failure(p, check, "holds", detail or "violated"))
 
 
+def check_record(
+    p: OddPrime, prof: ResidueProfile, sums: SumRecord, h: int, rec: VerifyReport
+) -> None:
+    """The checks of p's values into rec, which scan and report run too: T by
+    its six routes and its shape, C's shape, h by both routes, C and T by h."""
+    pv, t, c = p.value, sums.t_value, sums.c_value
+    # six routes to T
+    rec.expect(pv, "t_route_alternating_full", t, sums.t_expr[0])
+    rec.expect(pv, "t_route_alternating_half", t, sums.t_expr[1])
+    rec.expect(pv, "t_route_odd_index", t, sums.t_expr[2])
+    rec.expect(pv, "t_route_half_sum", t, sums.t_expr[3])
+    rec.expect(pv, "t_route_interval", t, sums.t_expr[4])
+    rec.expect(pv, "t_route_weighted", t, t_from_m(p, prof))
+
+    # T shape: odd multiple of p, exactly one factor of p, sign by class
+    rec.expect(pv, "t_multiple_of_p", 0, t % pv)
+    rec.expect_true(pv, "t_quotient_odd", (t // pv) % 2 != 0, t)
+    rec.expect_true(pv, "t_quotient_coprime_p", (t // pv) % pv != 0, t)
+    rec.expect_true(pv, "t_sign", (t > 0) == (p.class_mod8 == 3), t)
+
+    # C shape and the class number chain
+    rec.expect_true(pv, "c_positive_odd", c > 0 and c % 2 == 1, c)
+    if pv > 3:
+        rec.expect(pv, "c_multiple_of_p", 0, c % pv)
+        rec.expect_true(pv, "c_single_factor_p", (c // pv) % pv != 0, c)
+    rec.expect(pv, "h_routes_agree", h, h_from_residues(p, prof))
+    rec.expect_true(pv, "h_positive_odd", h > 0 and h % 2 == 1, h)
+    units = half_units(p)
+    rec.expect(pv, "c_vs_h", pv * h, c * units)
+    t_from_h = -pv * h if p.class_mod8 == 7 else 3 * pv * h // units
+    rec.expect(pv, "t_vs_h", t_from_h, t)
+
+
 def _check_exact(p: OddPrime, rec: VerifyReport) -> tuple[ResidueProfile, int]:
     """Run the exact suite; return the profile and forms-route h it built."""
     pv = p.value
     prof = residue_profile(p)
     sums = sum_record(p, prof)
-    t = sums.t_value
-    c = sums.c_value
     half = (pv - 1) // 2
 
     # table and count sanity
@@ -135,33 +169,8 @@ def _check_exact(p: OddPrime, rec: VerifyReport) -> tuple[ResidueProfile, int]:
         (1 - chi2) * even_part,
     )
 
-    # six routes to T
-    rec.expect(pv, "t_route_alternating_full", t, sums.t_expr[0])
-    rec.expect(pv, "t_route_alternating_half", t, sums.t_expr[1])
-    rec.expect(pv, "t_route_odd_index", t, sums.t_expr[2])
-    rec.expect(pv, "t_route_half_sum", t, sums.t_expr[3])
-    rec.expect(pv, "t_route_interval", t, sums.t_expr[4])
-    rec.expect(pv, "t_route_weighted", t, t_from_m(p, prof))
-
-    # T shape: odd multiple of p, exactly one factor of p, sign by class
-    rec.expect(pv, "t_multiple_of_p", 0, t % pv)
-    rec.expect_true(pv, "t_quotient_odd", (t // pv) % 2 != 0, t)
-    rec.expect_true(pv, "t_quotient_coprime_p", (t // pv) % pv != 0, t)
-    rec.expect_true(pv, "t_sign", (t > 0) == (p.class_mod8 == 3), t)
-
-    # C shape and the class number chain
-    rec.expect_true(pv, "c_positive_odd", c > 0 and c % 2 == 1, c)
-    if pv > 3:
-        rec.expect(pv, "c_multiple_of_p", 0, c % pv)
-        rec.expect_true(pv, "c_single_factor_p", (c // pv) % pv != 0, c)
     hf = h_from_forms(p)
-    hr = h_from_residues(p, prof)
-    rec.expect(pv, "h_routes_agree", hf, hr)
-    rec.expect_true(pv, "h_positive_odd", hf > 0 and hf % 2 == 1, hf)
-    units = half_units(p)
-    rec.expect(pv, "c_vs_h", pv * hf, c * units)
-    t_from_h = -pv * hf if p.class_mod8 == 7 else 3 * pv * hf // units
-    rec.expect(pv, "t_vs_h", t_from_h, t)
+    check_record(p, prof, sums, hf, rec)
 
     # strict bounds
     hb = analytic.bound_harmonic(p, prof)

@@ -1,10 +1,13 @@
 """Command line behavior: formats, determinism, exit codes."""
 
+import contextlib
 import errno
 import hashlib
 import json
 import multiprocessing
+import multiprocessing.pool
 import os
+import signal
 import stat
 import subprocess
 import sys
@@ -76,18 +79,25 @@ def test_scan_rows_parallel_equal():
 class InlinePool:
     """Stands in for multiprocessing.Pool: records processes, maps in-process."""
 
-    def __init__(self, seen, processes):
+    def __init__(self, seen, processes, initializer, initargs):
         seen.append(processes)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
+        # the worker set-up runs here too; pytest keeps its own Ctrl-C
+        handler = signal.getsignal(signal.SIGINT)
+        try:
+            initializer(*initargs)
+            assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
+        finally:
+            signal.signal(signal.SIGINT, handler)
 
     def imap(self, fn, items, chunksize):
         assert chunksize >= 1
         return map(fn, items)
+
+    def close(self):
+        pass
+
+    def join(self):
+        pass
 
 
 @pytest.mark.parametrize(
@@ -104,7 +114,9 @@ class InlinePool:
 def test_scan_jobs_clamped(monkeypatch, jobs, cpus, hi, workers):
     seen = []
     # scan imports Pool from multiprocessing when it needs one
-    monkeypatch.setattr(multiprocessing, "Pool", lambda processes: InlinePool(seen, processes))
+    monkeypatch.setattr(multiprocessing, "Pool", lambda *args: InlinePool(seen, *args))
+    # InlinePool runs the worker set-up in this process; undo it after
+    monkeypatch.setattr(scan_mod, "_stop", None)
     monkeypatch.setattr(scan_mod.os, "cpu_count", lambda: cpus)
     assert list(scan_rows(3, hi, jobs=jobs)) == [compute_row(p) for p in primes_in_range(3, hi, mod4=3)]
     assert seen == workers
@@ -156,7 +168,7 @@ def test_scan_unwritable_out(capsys):
 def test_scan_pool_that_cannot_start(monkeypatch, capsys, tmp_path, to_file):
     # the system refuses a process: one line naming the pool, never a write
     # error, and neither stdout nor an --out PATH is touched
-    def refuse(processes):
+    def refuse(processes, initializer, initargs):
         raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
     monkeypatch.setattr(multiprocessing, "Pool", refuse)
@@ -530,24 +542,49 @@ def test_internal_error_in_scan_worker(monkeypatch, capsys):
     assert int(err.split()[-1]) != parent
 
 
-@pytest.mark.parametrize("route", ["t_from_m", "h_from_residues"])
-@pytest.mark.parametrize("argv", [
+RECORD_ARGVS = [
     ("scan", "--from", "3", "--to", "200", "--jobs", "1"),
     ("scan", "--from", "3", "--to", "200", "--jobs", "2"),
     ("report", "23"),
-], ids=["scan-jobs1", "scan-jobs2", "report"])
+]
+RECORD_IDS = ["scan-jobs1", "scan-jobs2", "report"]
+
+
+@pytest.mark.parametrize("route", ["t_from_m", "h_from_residues"])
+@pytest.mark.parametrize("argv", RECORD_ARGVS, ids=RECORD_IDS)
 def test_disagreeing_second_route_exits_internal(monkeypatch, capsys, route, argv):
-    # scan rows and report are both checked by the routes their record holds
+    # scan rows and report run verify's record checks on their record
     if argv[-2:] == ("--jobs", "2") and multiprocessing.get_start_method() != "fork":
         pytest.skip("needs fork-started workers to inherit the patch")
-    monkeypatch.setattr(scan_mod, route, lambda p, prof: 0)
+    monkeypatch.setattr(verify_mod, route, lambda p, prof: 0)
     monkeypatch.setattr(scan_mod.os, "cpu_count", lambda: 2)  # keep 2 workers on 1 core
     assert run_cli(*argv) == 2
     out, err = capsys.readouterr()
+    check = {"t_from_m": "t_route_weighted", "h_from_residues": "h_routes_agree"}[route]
     assert out == ""
-    assert err.startswith("qrsums: internal invariant violation: ")
-    assert err.endswith(f" at p={3 if argv[0] == 'scan' else 23}\n")
+    assert err.startswith(f"qrsums: internal invariant violation: {check}: expected ")
+    assert err.endswith(f", got 0 at p={3 if argv[0] == 'scan' else 23}\n")
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("argv", RECORD_ARGVS, ids=RECORD_IDS)
+def test_c_off_by_2p_exits_internal(monkeypatch, capsys, argv):
+    # C + 2p keeps C's shape (odd, one factor p), so only C = p*h catches it
+    if argv[-2:] == ("--jobs", "2") and multiprocessing.get_start_method() != "fork":
+        pytest.skip("needs fork-started workers to inherit the patch")
+    sum_record = scan_mod.sum_record
+
+    def c_plus_2p(p, prof):
+        rec = sum_record(p, prof)
+        return replace(rec, c_value=rec.c_value + 2 * p.value)
+
+    monkeypatch.setattr(scan_mod, "sum_record", c_plus_2p)
+    monkeypatch.setattr(scan_mod.os, "cpu_count", lambda: 2)  # keep 2 workers on 1 core
+    assert run_cli(*argv) == 2
+    # p = 3: 3 * h = 3 against (1 + 6) * 3 units; p = 23: 23 * 3 = 69 against 115
+    failure = "expected 3, got 21 at p=3" if argv[0] == "scan" else "expected 69, got 115 at p=23"
+    assert capsys.readouterr() == ("", f"qrsums: internal invariant violation: c_vs_h: {failure}\n")
     assert multiprocessing.active_children() == []
 
 
@@ -568,6 +605,54 @@ def test_scan_worker_error_stops_the_pool(monkeypatch, capsys):
     assert run_cli("scan", "--from", "3", "--to", "150000", "--jobs", "2") == 2
     assert time.monotonic() - start < 5
     assert capsys.readouterr().err == "qrsums: internal invariant violation: forced at p = 1019\n"
+
+
+def test_scan_worker_error_never_terminates_the_pool(monkeypatch, capsys):
+    # Pool.terminate kills workers, and one killed while it sends a result
+    # can leave the pool blocked for good; the scan must close and join it
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("needs fork-started workers to inherit the patch")
+    h_from_forms = scan_mod.h_from_forms
+
+    def fail_at_1019(p):
+        if p.value == 1019:
+            raise InvariantError("forced at p = 1019")
+        return h_from_forms(p)
+
+    def terminate(self):
+        raise AssertionError("Pool.terminate reached")
+
+    monkeypatch.setattr(scan_mod, "h_from_forms", fail_at_1019)
+    monkeypatch.setattr(scan_mod.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", terminate)
+    assert run_cli("scan", "--from", "3", "--to", "2000", "--jobs", "2") == 2
+    assert capsys.readouterr().err == "qrsums: internal invariant violation: forced at p = 1019\n"
+    assert multiprocessing.active_children() == []
+
+
+def test_ctrl_c_stops_a_pooled_scan():
+    # Ctrl-C signals the whole process group: the workers ignore it and the
+    # parent stops them, so the scan ends and leaves no process behind
+    env = dict(os.environ, PYTHONUNBUFFERED="1")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qrsums", "scan", "--from", "3", "--to", "400000", "--jobs", "2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        env=env,
+        start_new_session=True,
+    )
+    try:
+        assert proc.stdout.readline().decode().strip() == CSV_HEADER
+        os.killpg(proc.pid, signal.SIGINT)
+        proc.wait(timeout=30)
+        # the new session is its own process group: signal 0 finds no member
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=10)
+        proc.stdout.close()
 
 
 def test_broken_pipe_exits_quietly():

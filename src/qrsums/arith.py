@@ -9,6 +9,7 @@ reaches the sum and class-number code is a prime.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from math import isqrt
 
 
@@ -134,7 +135,8 @@ _SEGMENT_SIZE = 1 << 20
 def primes_in_range(lo: int, hi: int, *, mod4: int | None = None) -> list[OddPrime]:
     """Odd primes in [lo, hi], ascending, optionally filtered by residue class.
 
-    Pass mod4=r to keep primes = r (mod 4).  Uses a segmented sieve, so hi
+    Pass mod4=1 or mod4=3 to keep only the primes in that class mod 4; any
+    other value except None is a ValueError.  Uses a segmented sieve, so hi
     can be large without building a full-range table.  The element type is
     OddPrime, so 2 is never included even when lo <= 2.  The base primes up
     to isqrt(hi) come from this function itself: only odd n are examined,
@@ -143,25 +145,22 @@ def primes_in_range(lo: int, hi: int, *, mod4: int | None = None) -> list[OddPri
     """
     if lo < 2:
         raise ValueError(f"lo must be >= 2, got {lo}")
+    if mod4 not in (None, 1, 3):
+        raise ValueError(f"mod4 must be None, 1 or 3, got {mod4}")
     if hi < lo:
         return []
+    # each segment keeps the marks at n = r (mod step): the odd n, or one class mod 4
+    step, r = (2, 1) if mod4 is None else (4, mod4)
     base = [q.value for q in primes_in_range(3, isqrt(hi))]
     out: list[OddPrime] = []
-    start = max(lo, 3)
-    for seg_lo in range(start, hi + 1, _SEGMENT_SIZE):
+    for seg_lo in range(max(lo, 3), hi + 1, _SEGMENT_SIZE):
         seg_hi = min(seg_lo + _SEGMENT_SIZE - 1, hi)
-        width = seg_hi - seg_lo + 1
-        mark = bytearray([1]) * width
+        mark = bytearray([1]) * (seg_hi - seg_lo + 1)
         for q in base:
+            # a first multiple past seg_hi makes both sides empty
             first = max(q * q, (seg_lo + q - 1) // q * q)
-            if first > seg_hi:
-                continue
             mark[first - seg_lo :: q] = bytes(len(range(first, seg_hi + 1, q)))
-        first_odd = seg_lo if seg_lo % 2 else seg_lo + 1
-        for n in range(first_odd, seg_hi + 1, 2):
-            if not mark[n - seg_lo]:
-                continue
-            if mod4 is not None and n % 4 != mod4:
-                continue
-            out.append(OddPrime(n))
+        first = seg_lo + (r - seg_lo) % step
+        out += map(OddPrime, compress(range(first, seg_hi + 1, step),
+                                      mark[first - seg_lo :: step]))
     return out

@@ -6,7 +6,8 @@
     qrsums gauss --p P
 
 Exit codes: 0 success, 1 verification failure, unwritable output or a
-worker pool that cannot start, 2 internal invariant violation, 64 usage error.
+worker pool that cannot start, 2 internal invariant violation, 64 usage error,
+130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_INTERNAL = 2
 EXIT_USAGE = 64
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a command that Ctrl-C ended
 
 
 class UsageError(Exception):
@@ -76,7 +78,7 @@ def _print_check(r: analytic.FloatCheckResult, fh: IO[str]) -> None:
 
 
 def _below_ceiling(name: str, value: int) -> None:
-    # bounds the per-prime table and keeps is_prime inside its proven range
+    # bounds the per-prime residue table and keeps every trig_bound decisive
     if value >= 1 << 32:
         raise UsageError(f"{name} must be < 2^32, got {value}")
 
@@ -168,7 +170,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     writer = scan.write_csv if args.format == "csv" else scan.write_json
-    # closing the rows terminates scan's workers at once if the writer fails
+    # closing the rows stops scan's workers, within one prime each, if the
+    # writer fails or Ctrl-C arrives
     with closing(scan.scan_rows(args.lo, args.hi, jobs=args.jobs)) as pending:
         # the first row starts any pool; until it exists nothing is written
         rows = chain(list(islice(pending, 1)), pending)
@@ -287,6 +290,14 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"qrsums: cannot write output: {exc}\n")
         _discard_stdout()
         return EXIT_FAILURE
+    except KeyboardInterrupt:
+        # Ctrl-C; by now scan's pool is joined and an --out temporary file removed
+        sys.stderr.write("qrsums: interrupted\n")
+        try:
+            sys.stdout.flush()
+        except OSError:
+            _discard_stdout()
+        return EXIT_INTERRUPTED
 
 
 def _discard_stdout() -> None:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrsums import OddPrime, is_prime, legendre, primes_in_range
+from qrsums import arith
 from qrsums.arith import primitive_root
 
 from oracles import legendre_euler, sieve_flags, square_set, trial_is_prime
@@ -123,6 +124,14 @@ def test_primes_in_range_rejects():
         primes_in_range(1, 10)
 
 
+@pytest.mark.parametrize("mod4", [0, 2, 5, -1])
+def test_primes_in_range_rejects_other_classes(mod4):
+    # the class picks the sieve's slice offset: 5 would read as 1, and 0 or 2
+    # would hand even numbers to OddPrime
+    with pytest.raises(ValueError, match="mod4"):
+        primes_in_range(3, 100, mod4=mod4)
+
+
 def test_primes_in_range_matches_sieve():
     flags = sieve_flags(30_000)
     got = [p.value for p in primes_in_range(3, 30_000)]
@@ -130,21 +139,28 @@ def test_primes_in_range_matches_sieve():
     assert got == want
 
 
+def in_class(n, mod4):
+    return n % 2 == 1 if mod4 is None else n % 4 == mod4
+
+
 def test_primes_in_range_every_small_range():
     # the base primes come from primes_in_range itself: empty below 9, one
     # prime (3) below 25
     flags = sieve_flags(150)
-    for lo in range(2, 151):
-        for hi in range(lo, 151):
-            want = [n for n in range(lo, hi + 1) if n % 2 and flags[n]]
-            assert [p.value for p in primes_in_range(lo, hi)] == want, (lo, hi)
+    for mod4 in (None, 1, 3):
+        for lo in range(2, 151):
+            for hi in range(lo, 151):
+                want = [n for n in range(lo, hi + 1) if in_class(n, mod4) and flags[n]]
+                got = [p.value for p in primes_in_range(lo, hi, mod4=mod4)]
+                assert got == want, (lo, hi, mod4)
 
 
 def test_primes_in_range_below_2_to_32():
     # the deepest base recursion the CLI reaches: 65535, 255, 15, 3
     lo, hi = (1 << 32) - 400, (1 << 32) - 1
-    got = [p.value for p in primes_in_range(lo, hi)]
-    assert got == [n for n in range(lo, hi + 1) if n % 2 and is_prime(n)]
+    for mod4 in (None, 1, 3):
+        got = [p.value for p in primes_in_range(lo, hi, mod4=mod4)]
+        assert got == [n for n in range(lo, hi + 1) if in_class(n, mod4) and is_prime(n)]
 
 
 def test_primes_in_range_class_filters_consistent():
@@ -154,12 +170,18 @@ def test_primes_in_range_class_filters_consistent():
     assert c1 | c3 == full and not (c1 & c3)
 
 
-def test_primes_in_range_crosses_segment_boundary():
-    # segment width is 2^20; straddle it and compare with trial division
-    lo, hi = (1 << 20) - 200, (1 << 20) + 200
-    got = [p.value for p in primes_in_range(lo, hi)]
-    want = [n for n in range(lo, hi + 1) if trial_is_prime(n) and n % 2]
-    assert got == want
+def test_primes_in_range_crosses_segment_boundary(monkeypatch):
+    # segments are _SEGMENT_SIZE wide from lo; at 2^20 this range fits in
+    # one, at an odd 61 it spans seven that start in every class mod 4.  A lo
+    # in each class mod 4 takes each slice offset; trial division is the oracle
+    hi = (1 << 20) + 200
+    for width in (1 << 20, 61):
+        monkeypatch.setattr(arith, "_SEGMENT_SIZE", width)
+        for mod4 in (None, 1, 3):
+            for lo in range((1 << 20) - 200, (1 << 20) - 196):
+                got = [p.value for p in primes_in_range(lo, hi, mod4=mod4)]
+                want = [n for n in range(lo, hi + 1) if in_class(n, mod4) and trial_is_prime(n)]
+                assert got == want, (width, lo, mod4)
 
 
 def test_primes_in_range_validates_elements():

@@ -630,29 +630,68 @@ def test_scan_worker_error_never_terminates_the_pool(monkeypatch, capsys):
     assert multiprocessing.active_children() == []
 
 
-def test_ctrl_c_stops_a_pooled_scan():
-    # Ctrl-C signals the whole process group: the workers ignore it and the
-    # parent stops them, so the scan ends and leaves no process behind
+def _interrupt(argv, started):
+    """Run `python -m qrsums *argv` in a session of its own and, once
+    started(proc) returns, send SIGINT to its process group, as Ctrl-C does;
+    return its status and stderr once no process is left in the session."""
     env = dict(os.environ, PYTHONUNBUFFERED="1")
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "qrsums", "scan", "--from", "3", "--to", "400000", "--jobs", "2"],
+    with subprocess.Popen(
+        [sys.executable, "-m", "qrsums", *argv],
         stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
         env=env,
         start_new_session=True,
-    )
-    try:
-        assert proc.stdout.readline().decode().strip() == CSV_HEADER
-        os.killpg(proc.pid, signal.SIGINT)
-        proc.wait(timeout=30)
-        # the new session is its own process group: signal 0 finds no member
-        with pytest.raises(ProcessLookupError):
-            os.killpg(proc.pid, 0)
-    finally:
-        with contextlib.suppress(ProcessLookupError):
-            os.killpg(proc.pid, signal.SIGKILL)
-        proc.wait(timeout=10)
-        proc.stdout.close()
+    ) as proc:
+        try:
+            started(proc)
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=30)
+            # the new session is its own process group: signal 0 finds no member
+            with pytest.raises(ProcessLookupError):
+                os.killpg(proc.pid, 0)
+            return proc.returncode, err.decode()
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+
+
+def _header_written(proc):
+    assert proc.stdout.readline().decode().strip() == CSV_HEADER
+
+
+def _verify_running(proc):
+    # verify prints nothing until its range is done, minutes away for
+    # 3..400000; the interpreter is inside main within a fraction of a second
+    time.sleep(2)
+
+
+@pytest.mark.parametrize("argv, started", [
+    pytest.param(("scan", "--jobs", "2"), _header_written, id="scan-jobs2"),
+    pytest.param(("scan", "--jobs", "1"), _header_written, id="scan-jobs1"),
+    pytest.param(("verify",), _verify_running, id="verify"),
+])
+def test_ctrl_c_exits_130(argv, started):
+    # Ctrl-C signals the whole process group: any workers ignore it and the
+    # parent stops them, then says so in one line and exits 130
+    argv = (*argv, "--from", "3", "--to", "400000")
+    assert _interrupt(argv, started) == (130, "qrsums: interrupted\n")
+
+
+def test_ctrl_c_leaves_out_as_it_was(tmp_path):
+    # the temporary file appears once the first row, and so the pool, exists
+    out = tmp_path / "rows.csv"
+    out.write_text("old,content\n")
+
+    def tmp_file_made(proc):
+        deadline = time.monotonic() + 30
+        while not list(tmp_path.glob(".rows.csv.*.tmp")):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+
+    argv = ("scan", "--from", "3", "--to", "400000", "--jobs", "2", "--out", str(out))
+    assert _interrupt(argv, tmp_file_made) == (130, "qrsums: interrupted\n")
+    assert out.read_text() == "old,content\n"
+    assert list(tmp_path.iterdir()) == [out]
 
 
 def test_broken_pipe_exits_quietly():

@@ -29,7 +29,8 @@ from itertools import chain, repeat
 from operator import itemgetter, truediv
 
 from .arith import InvariantError, OddPrime, legendre, primitive_root
-from .classnum import h_from_forms, half_units
+from .classnum import half_units
+from .classnum import h_from_forms  # noqa: F401  bench/spans.WRAP_TARGETS wraps this name
 from .residues import ResidueProfile, residue_profile
 from .sums import c_exact, t_exact
 
@@ -114,11 +115,11 @@ def _nonsquare_angles(pv: int) -> array:
     return array("d", [pi * (pv - n * n % pv) / pv for n in range(1, (pv - 1) // 2 + 1)])
 
 
-def t_float(p: OddPrime, profile: ResidueProfile | None = None) -> FloatCheckResult:
+def t_float(p: OddPrime, profile: ResidueProfile | None) -> FloatCheckResult:
     """sqrt(p) * sum tan(pi n^2 / p) over n = 1 .. (p-1)/2, any odd prime.
 
-    Reference: t_exact(p) for p = 3 (mod 4), and 0 for p = 1 (mod 4)
-    (the terms cancel in pairs there).
+    Reference: t_exact(p, profile) for p = 3 (mod 4), and 0 for p = 1 (mod 4)
+    (the terms cancel in pairs there; p has no profile, so profile is None).
     """
     pv = p.value
     computed = math.sqrt(pv) * math.fsum(map(math.tan, _square_angles(pv)))
@@ -126,7 +127,7 @@ def t_float(p: OddPrime, profile: ResidueProfile | None = None) -> FloatCheckRes
     return _approx("tangent_sum", computed, ref, trig_bound(pv, math.sqrt(pv), False, True))
 
 
-def c_float(p: OddPrime, profile: ResidueProfile | None = None) -> FloatCheckResult:
+def c_float(p: OddPrime, profile: ResidueProfile | None) -> FloatCheckResult:
     """sqrt(p) * sum cot(pi n^2 / p) over n = 1 .. (p-1)/2, any odd prime."""
     pv = p.value
     cots = map(truediv, repeat(1.0), map(math.tan, _square_angles(pv)))
@@ -135,7 +136,7 @@ def c_float(p: OddPrime, profile: ResidueProfile | None = None) -> FloatCheckRes
     return _approx("cotangent_sum", computed, ref, trig_bound(pv, math.sqrt(pv), True, True))
 
 
-def whiteman_sum(p: OddPrime, profile: ResidueProfile | None = None) -> FloatCheckResult:
+def whiteman_sum(p: OddPrime, profile: ResidueProfile) -> FloatCheckResult:
     """sum cot(pi n^2 / p) over the full range n = 1 .. p-1, p = 3 (mod 4).
 
     Whiteman's inequality says this is strictly positive; the exact value
@@ -210,9 +211,8 @@ def _chi_cot_sum(p: OddPrime) -> float:
     return math.fsum(chain(plus, minus))
 
 
-def lebesgue_float(p: OddPrime, *, h: int | None = None) -> FloatCheckResult:
-    """Class number by Lebesgue's cotangent formula, against h (by default
-    h_from_forms(p); callers that hold it pass it in).
+def lebesgue_float(p: OddPrime, *, h: int) -> FloatCheckResult:
+    """Class number by Lebesgue's cotangent formula, against the caller's h.
 
     (w/2) * (1 / (2 sqrt p)) * sum_{k=1}^{p-1} chi(k) cot(k pi / p), where
     w/2 = half_units(p) is the unit factor of the discriminant -p field.
@@ -221,28 +221,28 @@ def lebesgue_float(p: OddPrime, *, h: int | None = None) -> FloatCheckResult:
     total = _chi_cot_sum(p)
     computed = half_units(p) * total / (2.0 * math.sqrt(pv))
     tol = trig_bound(pv, half_units(p) / (2.0 * math.sqrt(pv)), True, False)
-    ref = h_from_forms(p) if h is None else h
-    return _approx("lebesgue_formula", computed, float(ref), tol)
+    return _approx("lebesgue_formula", computed, float(h), tol)
 
 
-def berndt_m_float(p: OddPrime, profile: ResidueProfile | None = None) -> FloatCheckResult:
+def berndt_m_float(p: OddPrime, profile: ResidueProfile) -> FloatCheckResult:
     """Berndt's cotangent form of the weighted sum M = sum chi(k) k.
 
     (sqrt(p)/2) * sum_{k=1}^{p-1} chi(k) cot(k pi / p) evaluates to -M(p)
     (the published statement drops the sign), so the reference is -m_sum.
     """
-    prof = profile or residue_profile(p)
     pv = p.value
     computed = math.sqrt(pv) / 2.0 * _chi_cot_sum(p)
-    ref = float(-prof.m_sum)
+    ref = float(-profile.m_sum)
     return _approx("berndt_sum", computed, ref, trig_bound(pv, math.sqrt(pv) / 2.0, True, False))
 
 
 def float_checks(p: OddPrime, profile: ResidueProfile | None = None,
                  h: int | None = None) -> list[FloatCheckResult]:
     """The float suite of one prime, in a fixed order: the two half-range
-    sums (which vanish at p = 1 (mod 4)), then at p = 3 (mod 4) Whiteman's
-    sum and Lebesgue's and Berndt's formulas, Lebesgue's against h if given."""
+    sums (which vanish at p = 1 (mod 4)), then at p = 3 (mod 4), given p's
+    profile and h, Whiteman's sum and Lebesgue's and Berndt's formulas."""
+    if p.class_mod4 == 3 and (profile is None or h is None):
+        raise ValueError(f"p = {p.value} is 3 (mod 4); its float checks need its profile and h")
     checks = [t_float(p, profile), c_float(p, profile)]
     if p.class_mod4 == 3:
         checks += [whiteman_sum(p, profile), lebesgue_float(p, h=h),
@@ -262,7 +262,7 @@ def _bound(name: str, bound_value: float, magnitude: float,
     )
 
 
-def bound_harmonic(p: OddPrime, profile: ResidueProfile | None = None) -> FloatCheckResult:
+def bound_harmonic(p: OddPrime, profile: ResidueProfile) -> FloatCheckResult:
     """Strict bound |T(p)| < (2 p sqrt(p) / pi) * (1 + ln(p-2)/2).
 
     Comes from bounding each |tan| by the reciprocal of its distance to

@@ -23,7 +23,8 @@ from math import gcd, isqrt
 from typing import NamedTuple
 
 from .arith import InvariantError, OddPrime
-from .residues import ResidueProfile, residue_profile
+from .residues import ResidueProfile
+from .residues import residue_profile  # noqa: F401  bench/spans.WRAP_TARGETS wraps this name
 
 
 class ReducedForm(NamedTuple):
@@ -93,13 +94,12 @@ def half_units(p: OddPrime) -> int:
     return 3 if p.value == 3 else 1
 
 
-def h_from_residues(p: OddPrime, profile: ResidueProfile | None = None) -> int:
+def h_from_residues(p: OddPrime, prof: ResidueProfile) -> int:
     """h(-p) from residue counts (see the module docstring).
 
     The division by 3 in the p = 3 (mod 8) branch must be exact and the
     result positive; anything else is an internal error.
     """
-    prof = profile or residue_profile(p)
     gap = prof.q_o - prof.q_e
     if p.class_mod8 == 7:
         h = -gap

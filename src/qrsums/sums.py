@@ -20,18 +20,16 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .arith import InvariantError, OddPrime
-from .residues import ResidueProfile, chi_sum, residue_profile
+from .residues import ResidueProfile, chi_sum
+from .residues import residue_profile  # noqa: F401  bench/spans.WRAP_TARGETS wraps this name
 
 
-def t_exact(p: OddPrime, profile: ResidueProfile | None = None) -> int:
+def t_exact(p: OddPrime, prof: ResidueProfile) -> int:
     """T(p) = p * (q_o - q_e).  Odd multiple of p, never divisible by p^2."""
-    prof = profile or residue_profile(p)
     return p.value * (prof.q_o - prof.q_e)
 
 
-def t_expressions(
-    p: OddPrime, profile: ResidueProfile | None = None
-) -> tuple[int, int, int, int, int]:
+def t_expressions(p: OddPrime, prof: ResidueProfile) -> tuple[int, int, int, int, int]:
     """Five independent Legendre-sum routes to T(p), in a fixed order.
 
     1. (p/2) * sum_{k=1}^{p-1} (-1)^(k+1) chi(k); the sum is always even
@@ -42,7 +40,6 @@ def t_expressions(
     5. p * s_high for p = 3 (mod 8); -p * s_low for p = 7 (mod 8)
        (the published p = 7 branch lacks the minus)
     """
-    prof = profile or residue_profile(p)
     pv = p.value
     table = prof.qr_table
     half = (pv - 1) // 2
@@ -64,12 +61,12 @@ def t_expressions(
     return t1, t2, t3, t4, t5
 
 
-def c_exact(p: OddPrime, profile: ResidueProfile | None = None) -> int:
+def c_exact(p: OddPrime, prof: ResidueProfile) -> int:
     """C(p): -T(p) for p = 7 (mod 8), T(p)/3 for p = 3 (mod 8).
 
     The division by 3 is exact; a remainder would mean a bug, not bad input.
     """
-    t = t_exact(p, profile)
+    t = t_exact(p, prof)
     if p.class_mod8 == 7:
         return -t
     if t % 3:
@@ -77,14 +74,13 @@ def c_exact(p: OddPrime, profile: ResidueProfile | None = None) -> int:
     return t // 3
 
 
-def t_from_m(p: OddPrime, profile: ResidueProfile | None = None) -> int:
+def t_from_m(p: OddPrime, prof: ResidueProfile) -> int:
     """T(p) through the weighted sum M = sum chi(k)*k:
 
     T = M for p = 7 (mod 8), T = -3M for p = 3 (mod 8).
 
     (The published relation has both signs flipped; see ERRATA.)
     """
-    prof = profile or residue_profile(p)
     return prof.m_sum if p.class_mod8 == 7 else -3 * prof.m_sum
 
 
@@ -97,8 +93,7 @@ class SumRecord:
     t_expr: tuple[int, int, int, int, int]
 
 
-def sum_record(p: OddPrime, profile: ResidueProfile | None = None) -> SumRecord:
-    prof = profile or residue_profile(p)
+def sum_record(p: OddPrime, prof: ResidueProfile) -> SumRecord:
     return SumRecord(
         t_value=t_exact(p, prof),
         c_value=c_exact(p, prof),
@@ -113,22 +108,21 @@ def sum_record(p: OddPrime, profile: ResidueProfile | None = None) -> SumRecord:
 # differ.  The verify layer re-derives the disagreement numerically.
 
 
-def published_t3(p: OddPrime) -> int:
+def published_t3(p: OddPrime, prof: ResidueProfile) -> int:
     """Published odd-index route: 2p * a_sum (coefficient should be p)."""
-    return 2 * p.value * residue_profile(p).a_sum
+    return 2 * p.value * prof.a_sum
 
 
-def published_t5(p: OddPrime) -> int:
+def published_t5(p: OddPrime, prof: ResidueProfile) -> int:
     """Published interval route: p * s_high (p = 3 mod 8), p * s_low
     (p = 7 mod 8; the leading minus is missing in that branch)."""
-    prof = residue_profile(p)
     return p.value * prof.s_high if p.class_mod8 == 3 else p.value * prof.s_low
 
 
-def published_t_from_m(p: OddPrime) -> int:
+def published_t_from_m(p: OddPrime, prof: ResidueProfile) -> int:
     """Published weighted-sum route: -M (p = 7 mod 8), 3M (p = 3 mod 8);
     both signs are opposite to what direct evaluation gives."""
-    m = residue_profile(p).m_sum
+    m = prof.m_sum
     return -m if p.class_mod8 == 7 else 3 * m
 
 
@@ -141,8 +135,8 @@ class Erratum:
     """
 
     identity: str
-    published: Callable[[OddPrime], int]
-    corrected: Callable[[OddPrime], int]
+    published: Callable[[OddPrime, ResidueProfile], int]
+    corrected: Callable[[OddPrime, ResidueProfile], int]
     applies: Callable[[OddPrime], bool]
 
 
@@ -150,7 +144,7 @@ ERRATA: tuple[Erratum, ...] = (
     Erratum(
         identity="odd_sum_coefficient",
         published=published_t3,
-        corrected=lambda p: t_expressions(p)[2],
+        corrected=lambda p, prof: t_expressions(p, prof)[2],
         applies=lambda p: True,
     ),
     Erratum(
@@ -162,7 +156,7 @@ ERRATA: tuple[Erratum, ...] = (
     Erratum(
         identity="low_interval_sign",
         published=published_t5,
-        corrected=lambda p: t_expressions(p)[4],
+        corrected=lambda p, prof: t_expressions(p, prof)[4],
         applies=lambda p: p.class_mod8 == 7,
     ),
 )

@@ -71,10 +71,10 @@ class VerifyReport:
         if expected != actual:
             self.failures.append(Failure(p, check, expected, actual))
 
-    def expect_true(self, p: int, check: str, ok: bool, detail: Any = "") -> None:
+    def expect_true(self, p: int, check: str, ok: bool, detail: Any = "violated") -> None:
         self.checks_run += 1
         if not ok:
-            self.failures.append(Failure(p, check, "holds", detail or "violated"))
+            self.failures.append(Failure(p, check, "holds", detail))
 
 
 def check_record(
@@ -204,18 +204,20 @@ def _check_float_class1(p: OddPrime, rec: VerifyReport) -> None:
         rec.expect_true(p.value, "vanishing_" + r.name, r.passed, _float_detail(r))
 
 
-def confirm_errata(rec: VerifyReport) -> None:
+def confirm_errata(rec: VerifyReport, held: dict[int, ResidueProfile]) -> None:
     """Re-derive the published-form discrepancies at p = 7 and p = 11 into rec.
 
+    Each prime's profile is taken from held, by p, or else built here once.
     The corrected form must equal t_exact everywhere; the published form
     must differ exactly where the misprinted branch applies.
     """
+    profiles = [held.get(pv) or residue_profile(OddPrime(pv)) for pv in ERRATA_PRIMES]
     for e in ERRATA:
-        for pv in ERRATA_PRIMES:
-            p = OddPrime(pv)
-            published = e.published(p)
-            corrected = e.corrected(p)
-            exact = t_exact(p)
+        for prof in profiles:
+            p, pv = prof.p, prof.p.value
+            published = e.published(p, prof)
+            corrected = e.corrected(p, prof)
+            exact = t_exact(p, prof)
             discrepant = published != exact
             rec.expect(pv, f"errata_corrected[{e.identity}]", exact, corrected)
             rec.expect(pv, f"errata_published[{e.identity}]", e.applies(p), discrepant)
@@ -241,12 +243,15 @@ def run_verify(
     rec = VerifyReport((lo, hi))
     primes3 = primes_in_range(max(lo, 3), hi, mod4=3)
     rec.primes_checked = len(primes3)
+    held = {}  # the errata primes' profiles, where the range holds them
     for p in primes3:
         prof, h = _check_exact(p, rec)
         if with_float and p.value <= float_cap:
             _check_float_class3(p, rec, prof, h)
+        if p.value in ERRATA_PRIMES:
+            held[p.value] = prof
     if with_float and min(hi, float_cap) >= lo:
         for p in primes_in_range(max(lo, 3), min(hi, float_cap), mod4=1):
             _check_float_class1(p, rec)
-    confirm_errata(rec)
+    confirm_errata(rec, held)
     return rec

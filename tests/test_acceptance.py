@@ -75,8 +75,8 @@ def test_03_float_suite():
             if round(tf.computed / p.value) != prof.q_o - prof.q_e:
                 bad.append((p.value, "round mismatch", tf.computed))
         else:
-            tf = t_float(p)
-            cf = c_float(p)
+            tf = t_float(p, None)
+            cf = c_float(p, None)
             if not (tf.passed and cf.passed):
                 bad.append((p.value, tf.residual, cf.residual))
     elapsed = time.perf_counter() - started
@@ -105,22 +105,26 @@ def test_05_spot_values():
         if got != want:
             wrong.append((label, got, want))
 
-    expect("C(3)", c_exact(OddPrime(3)), 1)
-    expect("T(7)", t_exact(OddPrime(7)), -7)
-    expect("T(11)", t_exact(OddPrime(11)), 33)
-    expect("T(19)", t_exact(OddPrime(19)), 57)
-    expect("T(23)", t_exact(OddPrime(23)), -69)
+    def prof(pv):
+        return residue_profile(OddPrime(pv))
+
+    expect("C(3)", c_exact(OddPrime(3), prof(3)), 1)
+    expect("T(7)", t_exact(OddPrime(7), prof(7)), -7)
+    expect("T(11)", t_exact(OddPrime(11), prof(11)), 33)
+    expect("T(19)", t_exact(OddPrime(19), prof(19)), 57)
+    expect("T(23)", t_exact(OddPrime(23), prof(23)), -69)
     expect("h(-23)", h_from_forms(OddPrime(23)), 3)
     for pv in (3, 7, 11, 19, 23):
         p = OddPrime(pv)
-        expect(f"leb({pv})", round(lebesgue_float(p).computed), h_from_forms(p))
+        h = h_from_forms(p)
+        expect(f"leb({pv})", round(lebesgue_float(p, h=h).computed), h)
     ok = not wrong
     assert _verdict(5, "frozen spot values and rounded class numbers", ok, f"{len(wrong)} wrong"), wrong
 
 
 def test_06_errata_confirmed():
     report = VerifyReport(ERRATA_PRIMES)
-    confirm_errata(report)
+    confirm_errata(report, {})
     confs = report.errata_confirmations
     wrong = [("errata check failed", f) for f in report.failures]
     for c in confs:

@@ -29,6 +29,14 @@ from guards import Started, fail_fast, never
 from oracles import naive_gauss_sum, naive_trig_sums
 
 
+def suite(p):
+    """float_checks as verify and report call it: with p's profile and
+    forms-route h at p = 3 (mod 4), where the suite needs them."""
+    if p.class_mod4 == 1:
+        return float_checks(p)
+    return float_checks(p, residue_profile(p), h_from_forms(p))
+
+
 # ---- tolerance policy --------------------------------------
 
 EPS = 2.0**-52
@@ -81,7 +89,7 @@ def test_residuals_within_half_their_bound():
     primes = [*primes_in_range(3, 4000), *map(OddPrime, (10007, 99991, 115979, 115981))]
     for p in primes:
         bounds = check_bounds(p.value)
-        for r in float_checks(p):
+        for r in suite(p):
             assert r.tolerance == bounds[r.name], (p, r.name)
             assert r.residual <= 0.5 * r.tolerance, (p, r)
 
@@ -112,20 +120,26 @@ def test_bounds_tighter_than_the_old_tolerance():
 
 # ---- tangent and cotangent sums ------------------------------------------
 
+def at(pv):
+    """The prime and its profile, None at p = 1 (mod 4), as t_float takes them."""
+    p = OddPrime(pv)
+    return p, residue_profile(p) if p.class_mod4 == 3 else None
+
+
 def test_t_float_spot():
-    r3 = t_float(OddPrime(3))
+    r3 = t_float(*at(3))
     assert r3.reference == 3 and r3.passed and abs(r3.computed - 3) < 1e-12
-    r7 = t_float(OddPrime(7))
+    r7 = t_float(*at(7))
     assert r7.reference == -7 and r7.passed
-    r5 = t_float(OddPrime(5))
+    r5 = t_float(*at(5))
     assert r5.reference == 0 and r5.passed  # vanishes for p = 1 (mod 4)
 
 
 def test_c_float_spot():
-    assert c_float(OddPrime(3)).reference == 1
-    assert c_float(OddPrime(7)).reference == 7
-    assert c_float(OddPrime(13)).reference == 0
-    assert all(c_float(OddPrime(p)).passed for p in (3, 5, 7, 11, 13, 23))
+    assert c_float(*at(3)).reference == 1
+    assert c_float(*at(7)).reference == 7
+    assert c_float(*at(13)).reference == 0
+    assert all(c_float(*at(p)).passed for p in (3, 5, 7, 11, 13, 23))
 
 
 def test_float_suite_to_2000_both_classes():
@@ -142,19 +156,29 @@ def test_float_suite_to_2000_both_classes():
 
 def test_float_checks_names():
     assert [r.name for r in float_checks(OddPrime(13))] == ["tangent_sum", "cotangent_sum"]
-    p = OddPrime(23)
-    checks = float_checks(p, residue_profile(p))
+    p, prof = at(23)
+    checks = float_checks(p, prof, h_from_forms(p))
     assert [r.name for r in checks] == [
         "tangent_sum", "cotangent_sum", "whiteman_sum", "lebesgue_formula", "berndt_sum",
     ]
-    assert checks == float_checks(p) and all(r.passed for r in checks)
+    singly = [t_float(p, prof), c_float(p, prof), whiteman_sum(p, prof),
+              lebesgue_float(p, h=h_from_forms(p)), berndt_m_float(p, prof)]
+    assert checks == singly and all(r.passed for r in checks)
+
+
+def test_float_checks_need_profile_and_h_at_class3():
+    p = OddPrime(23)
+    prof, h = residue_profile(p), h_from_forms(p)
+    for args in ((), (prof,), (None, h)):
+        with pytest.raises(ValueError, match=r"p = 23 is 3 \(mod 4\); its float checks need"):
+            float_checks(p, *args)
 
 
 def test_float_sums_match_term_by_term_oracle():
     # the passes read shared angle tables in their own order; fsum rounds
     # correctly, so each computed value must be the naive sum to the last bit
     for p in [*primes_in_range(3, 3000), *map(OddPrime, (9973, 10007, 99991))]:
-        computed = {r.name: r.computed for r in float_checks(p)}
+        computed = {r.name: r.computed for r in suite(p)}
         assert computed == naive_trig_sums(p.value), p
 
 
@@ -197,7 +221,7 @@ def clear_angle_tables():
 
 def test_angle_tables_built_once_per_prime():
     clear_angle_tables()
-    float_checks(OddPrime(23))
+    suite(OddPrime(23))
     squares = analytic._square_angles.cache_info()
     nonsquares = analytic._nonsquare_angles.cache_info()
     assert (squares.misses, squares.hits) == (1, 4)  # tangent; cotangent, Whiteman, Lebesgue, Berndt
@@ -222,20 +246,20 @@ def test_chi_cot_angles_are_the_unit_angles():
 def test_angle_tables_never_stale():
     def fresh(pv):
         clear_angle_tables()
-        return float_checks(OddPrime(pv))
+        return suite(OddPrime(pv))
 
     want = {pv: fresh(pv) for pv in (23, 29, 31)}
     for pv in (23, 29, 23, 31, 23):
-        assert float_checks(OddPrime(pv)) == want[pv], pv
+        assert suite(OddPrime(pv)) == want[pv], pv
 
 
 def test_whiteman_sum():
-    w3 = whiteman_sum(OddPrime(3))
+    w3 = whiteman_sum(*at(3))
     assert w3.computed == pytest.approx(2 / math.sqrt(3), abs=1e-12)
-    w7 = whiteman_sum(OddPrime(7))
+    w7 = whiteman_sum(*at(7))
     assert w7.computed == pytest.approx(2 * math.sqrt(7), abs=1e-12)
     for p in primes_in_range(3, 1000, mod4=3):
-        r = whiteman_sum(p)
+        r = whiteman_sum(p, residue_profile(p))
         assert r.passed and r.computed > 0
 
 
@@ -323,9 +347,10 @@ def test_gauss_each_k_sums_its_own_terms(monkeypatch):
 def test_lebesgue_rounds_to_h():
     for pv in (3, 7, 11, 19, 23):
         p = OddPrime(pv)
-        r = lebesgue_float(p)
+        h = h_from_forms(p)
+        r = lebesgue_float(p, h=h)
         assert r.passed
-        assert round(r.computed) == h_from_forms(p) == r.reference
+        assert round(r.computed) == h == r.reference
 
 
 def test_lebesgue_takes_the_callers_h(monkeypatch):
@@ -339,7 +364,7 @@ def test_lebesgue_takes_the_callers_h(monkeypatch):
     monkeypatch.setattr(analytic, "h_from_forms", never)
     r = lebesgue_float(p, h=h)
     assert r.passed and r.reference == h
-    assert float_checks(p, h=h)[3] == r
+    assert float_checks(p, residue_profile(p), h)[3] == r
     assert not lebesgue_float(p, h=h + 2).passed
 
 
@@ -348,29 +373,29 @@ def test_chi_cot_checks_reject_class1():
     with pytest.raises(ValueError, match=r"p = 13 is 1 \(mod 4\)"):
         lebesgue_float(OddPrime(13), h=1)
     with pytest.raises(ValueError, match=r"p = 13 is 1 \(mod 4\)"):
-        berndt_m_float(OddPrime(13))
+        analytic._chi_cot_sum(OddPrime(13))  # Berndt's sum, which also needs a profile
 
 
 def test_berndt_matches_minus_m():
     for pv in (3, 7, 11, 23, 31):
-        p = OddPrime(pv)
-        r = berndt_m_float(p)
+        p, prof = at(pv)
+        r = berndt_m_float(p, prof)
         assert r.passed
-        assert r.reference == -residue_profile(p).m_sum
+        assert r.reference == -prof.m_sum
 
 
 def test_berndt_equals_p_h_beyond_three():
     for p in primes_in_range(5, 500, mod4=3):
-        assert berndt_m_float(p).reference == p.value * h_from_forms(p)
+        assert berndt_m_float(p, residue_profile(p)).reference == p.value * h_from_forms(p)
 
 
 # ---- bounds --------------------------------------------------------------
 
 def test_bound_harmonic_spot():
-    r3 = bound_harmonic(OddPrime(3))
+    r3 = bound_harmonic(*at(3))
     assert r3.computed == pytest.approx(6 * math.sqrt(3) / math.pi, abs=1e-9)
     assert r3.reference == 3 and r3.passed
-    r11 = bound_harmonic(OddPrime(11))
+    r11 = bound_harmonic(*at(11))
     want = (2 * 11 * math.sqrt(11) / math.pi) * (1 + 0.5 * math.log(9))
     assert r11.computed == pytest.approx(want, abs=1e-9)
     assert r11.passed
@@ -378,12 +403,13 @@ def test_bound_harmonic_spot():
 
 def test_bounds_hold_to_2000():
     for p in primes_in_range(3, 2000, mod4=3):
-        hb = bound_harmonic(p)
-        assert hb.passed and abs(t_exact(p)) < hb.computed
+        prof = residue_profile(p)
+        hb = bound_harmonic(p, prof)
+        assert hb.passed and abs(t_exact(p, prof)) < hb.computed
         assert hb.residual == 0.0 and hb.tolerance == 0.0
-        pb = bound_pv(p)
+        pb = bound_pv(p, prof)
         assert pb.passed
-        assert abs(t_exact(p)) < p.value**1.5 * math.log(p.value)
+        assert abs(t_exact(p, prof)) < p.value**1.5 * math.log(p.value)
 
 
 def test_angle_reduction_equivalence():
@@ -397,7 +423,7 @@ def test_angle_reduction_equivalence():
 
 
 def test_check_result_fields():
-    r = t_float(OddPrime(7))
+    r = t_float(*at(7))
     assert r.name == "tangent_sum"
     assert r.residual == abs(r.computed - r.reference)
     assert r.passed == (r.residual <= r.tolerance)

@@ -82,19 +82,19 @@ def test_known_class_numbers():
     for pv, h in KNOWN_H.items():
         p = OddPrime(pv)
         assert h_from_forms(p) == h
-        assert h_from_residues(p) == h
+        assert h_from_residues(p, residue_profile(p)) == h
         assert len(reduced_forms_bruteforce(pv)) == h  # oracle agrees
 
 
 def test_h_routes_agree_small():
     for p in primes_in_range(3, 3000, mod4=3):
-        assert h_from_forms(p) == h_from_residues(p)
+        assert h_from_forms(p) == h_from_residues(p, residue_profile(p))
 
 
 @pytest.mark.parametrize("pv", LARGE_SAMPLE[:4])
 def test_h_routes_agree_large(pv):
     p = OddPrime(pv)
-    assert h_from_forms(p) == h_from_residues(p)
+    assert h_from_forms(p) == h_from_residues(p, residue_profile(p))
 
 
 def test_h_odd_positive():
@@ -106,7 +106,7 @@ def test_h_odd_positive():
 def test_h_vs_c():
     # C = p h, except p = 3 where the six units contribute a factor 3
     for p in primes_in_range(3, 2000, mod4=3):
-        c = c_exact(p)
+        c = c_exact(p, residue_profile(p))
         h = h_from_forms(p)
         if p.value == 3:
             assert 3 * c == p.value * h
@@ -117,7 +117,7 @@ def test_h_vs_c():
 def test_h_at_three_carries_unit_factor():
     # (q_o - q_e)/3 would be 1/3 at p=3; the six units of the discriminant
     # -3 field scale the count formula back to the true value 1
-    assert h_from_residues(OddPrime(3)) == 1
+    assert h_from_residues(OddPrime(3), residue_profile(OddPrime(3))) == 1
     assert h_from_forms(OddPrime(3)) == 1
     assert half_units(OddPrime(3)) == 3
     assert all(half_units(p) == 1 for p in primes_in_range(5, 200, mod4=3))

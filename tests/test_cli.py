@@ -1,5 +1,6 @@
 """Command line behavior: formats, determinism, exit codes."""
 
+import collections
 import contextlib
 import errno
 import hashlib
@@ -27,7 +28,7 @@ from qrsums import (
     row_as_dict,
     scan_rows,
 )
-from qrsums import analytic, classnum, cli
+from qrsums import analytic, classnum, cli, residues
 from qrsums import scan as scan_mod
 from qrsums import verify as verify_mod
 
@@ -394,6 +395,31 @@ def test_verify_float_cap_bound(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"qrsums: --float-cap must be < 2^32, got {1 << 32}\n"
+
+
+def class3(lo, hi):
+    return {p.value for p in primes_in_range(lo, hi, mod4=3)}
+
+
+@pytest.mark.parametrize("argv, primes", [
+    (("verify", "--from", "3", "--to", "600", "--float"), class3(3, 600)),
+    (("verify", "--from", "600", "--to", "700", "--float"), class3(600, 700) | {7, 11}),
+    (("report", "9187", "--float"), {9187}),
+], ids=["verify-3-600", "verify-600-700", "report-9187"])
+def test_each_profile_built_once(monkeypatch, capsys, argv, primes):
+    # every layer reads the profile its caller built, the errata at 7 and 11
+    # included, and none builds its own
+    built = collections.Counter()
+    make = residues.ResidueProfile
+
+    def counted(**fields):
+        built[fields["p"].value] += 1
+        return make(**fields)
+
+    monkeypatch.setattr(residues, "ResidueProfile", counted)
+    assert run_cli(*argv) == 0
+    capsys.readouterr()
+    assert built == dict.fromkeys(primes, 1)
 
 
 # ---- gauss ---------------------------------------------------------------

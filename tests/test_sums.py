@@ -22,12 +22,18 @@ from qrsums import (
 from oracles import LARGE_SAMPLE, t_value
 
 
+def at(pv):
+    """The arguments every sums function takes: the prime and its profile."""
+    p = OddPrime(pv)
+    return p, residue_profile(p)
+
+
 def test_t_exact_spot():
-    assert t_exact(OddPrime(3)) == 3
-    assert t_exact(OddPrime(7)) == -7
-    assert t_exact(OddPrime(11)) == 33
-    assert t_exact(OddPrime(19)) == 57
-    assert t_exact(OddPrime(23)) == -69
+    assert t_exact(*at(3)) == 3
+    assert t_exact(*at(7)) == -7
+    assert t_exact(*at(11)) == 33
+    assert t_exact(*at(19)) == 57
+    assert t_exact(*at(23)) == -69
 
 
 def test_t_exact_against_trig():
@@ -42,29 +48,30 @@ def test_t_exact_against_trig():
 
 
 def test_t_expressions_spot():
-    assert t_expressions(OddPrime(3)) == (3, 3, 3, 3, 3)
-    assert t_expressions(OddPrime(7)) == (-7, -7, -7, -7, -7)
-    assert t_expressions(OddPrime(11)) == (33, 33, 33, 33, 33)
+    assert t_expressions(*at(3)) == (3, 3, 3, 3, 3)
+    assert t_expressions(*at(7)) == (-7, -7, -7, -7, -7)
+    assert t_expressions(*at(11)) == (33, 33, 33, 33, 33)
 
 
 def test_c_exact_spot():
-    assert c_exact(OddPrime(3)) == 1
-    assert c_exact(OddPrime(7)) == 7
-    assert c_exact(OddPrime(11)) == 11
-    assert c_exact(OddPrime(23)) == 69
+    assert c_exact(*at(3)) == 1
+    assert c_exact(*at(7)) == 7
+    assert c_exact(*at(11)) == 11
+    assert c_exact(*at(23)) == 69
 
 
 def test_t_from_m_spot():
-    assert t_from_m(OddPrime(7)) == -7
-    assert t_from_m(OddPrime(11)) == 33
-    assert t_from_m(OddPrime(19)) == 57
+    assert t_from_m(*at(7)) == -7
+    assert t_from_m(*at(11)) == 33
+    assert t_from_m(*at(19)) == 57
 
 
 def test_class1_rejected():
+    # the sums take p's profile, and p = 1 (mod 4) has none
     with pytest.raises(ValueError):
-        t_exact(OddPrime(13))
+        residue_profile(OddPrime(13))
     with pytest.raises(ValueError):
-        c_exact(OddPrime(5))
+        residue_profile(OddPrime(5))
 
 
 def test_all_routes_agree_small():
@@ -87,7 +94,7 @@ def test_all_routes_agree_large(pv):
 
 def test_t_shape():
     for p in primes_in_range(3, 3000, mod4=3):
-        t = t_exact(p)
+        t = t_exact(p, residue_profile(p))
         q = t // p.value
         assert t % p.value == 0
         assert q % 2 == 1  # odd multiple
@@ -97,17 +104,18 @@ def test_t_shape():
 
 def test_c_shape():
     for p in primes_in_range(3, 3000, mod4=3):
-        c = c_exact(p)
+        c = c_exact(p, residue_profile(p))
         assert c > 0 and c % 2 == 1
         if p.value > 3:
             assert c % p.value == 0
             assert (c // p.value) % p.value != 0
-    assert c_exact(OddPrime(3)) == 1  # not a multiple of 3
+    assert c_exact(*at(3)) == 1  # not a multiple of 3
 
 
 def test_c_vs_t_relation():
     for p in primes_in_range(3, 2000, mod4=3):
-        t, c = t_exact(p), c_exact(p)
+        prof = residue_profile(p)
+        t, c = t_exact(p, prof), c_exact(p, prof)
         if p.class_mod8 == 7:
             assert c == -t
         else:
@@ -115,8 +123,7 @@ def test_c_vs_t_relation():
 
 
 def test_sum_record_coherent():
-    p = OddPrime(23)
-    rec = sum_record(p)
+    rec = sum_record(*at(23))
     assert rec.t_value == -69
     assert rec.c_value == 69
     assert rec.t_expr == (-69,) * 5
@@ -125,13 +132,13 @@ def test_sum_record_coherent():
 # ---- published forms and the errata registry -----------------------------
 
 def test_published_forms_spot():
-    p7, p11 = OddPrime(7), OddPrime(11)
-    assert published_t3(p7) == -14
-    assert published_t3(p11) == 66
-    assert published_t_from_m(p7) == 7
-    assert published_t_from_m(p11) == -33
-    assert published_t5(p7) == 7
-    assert published_t5(p11) == 33  # p = 3 (mod 8) branch has no misprint
+    p7, p11 = at(7), at(11)
+    assert published_t3(*p7) == -14
+    assert published_t3(*p11) == 66
+    assert published_t_from_m(*p7) == 7
+    assert published_t_from_m(*p11) == -33
+    assert published_t5(*p7) == 7
+    assert published_t5(*p11) == 33  # p = 3 (mod 8) branch has no misprint
 
 
 def test_errata_registry():
@@ -142,10 +149,10 @@ def test_errata_registry():
     ]
     for e in ERRATA:
         for pv in (7, 11):
-            p = OddPrime(pv)
-            corrected = e.corrected(p)
-            published = e.published(p)
-            assert corrected == t_exact(p)
+            p, prof = at(pv)
+            corrected = e.corrected(p, prof)
+            published = e.published(p, prof)
+            assert corrected == t_exact(p, prof)
             if e.applies(p):
                 assert published != corrected
             else:
@@ -156,10 +163,11 @@ def test_published_forms_disagree_on_a_range():
     # the two always-applicable misprints change the value at every prime;
     # the interval misprint changes it on the p = 7 (mod 8) branch only
     for p in primes_in_range(3, 500, mod4=3):
-        t = t_exact(p)
-        assert published_t3(p) == 2 * t
-        assert published_t_from_m(p) == -t
+        prof = residue_profile(p)
+        t = t_exact(p, prof)
+        assert published_t3(p, prof) == 2 * t
+        assert published_t_from_m(p, prof) == -t
         if p.class_mod8 == 7:
-            assert published_t5(p) == -t
+            assert published_t5(p, prof) == -t
         else:
-            assert published_t5(p) == t
+            assert published_t5(p, prof) == t

@@ -31,17 +31,22 @@ def test_report_counts_each_check_once():
     report.expect(11, "differs", 1, 2)
     report.expect_true(11, "violated", False)
     report.expect_true(11, "violated_with_detail", False, (3, 4))
-    assert report.checks_run == 5 and not report.ok
+    # a falsy detail is often the failing value itself: it is kept as given
+    report.expect_true(11, "violated_at_zero", False, 0)
+    report.expect_true(11, "violated_with_empty_detail", False, ())
+    assert report.checks_run == 7 and not report.ok
     assert report.failures == [
         Failure(11, "differs", 1, 2),
         Failure(11, "violated", "holds", "violated"),
         Failure(11, "violated_with_detail", "holds", (3, 4)),
+        Failure(11, "violated_at_zero", "holds", 0),
+        Failure(11, "violated_with_empty_detail", "holds", ()),
     ]
 
 
 def test_confirm_errata_records_into_the_report():
     report = VerifyReport((7, 11))
-    confirm_errata(report)
+    confirm_errata(report, {})
     assert report.checks_run == 12
     assert len(report.errata_confirmations) == 6
     assert report.ok, report.failures
@@ -85,11 +90,14 @@ def residues_up_to_half(pv, parity=None):
 
 
 def failed_checks(monkeypatch, pv, corrupt):
-    """Names of the checks verify fails at pv when the table is corrupted."""
+    """Names of the checks verify fails at pv when its table is corrupted;
+    the errata primes' profiles, built in the same module, stay intact."""
     real = verify_mod.residue_profile
 
     def corrupted_profile(p):
         prof = real(p)
+        if p.value != pv:
+            return prof
         table = bytearray(prof.qr_table)
         corrupt(table)
         return dataclasses.replace(prof, qr_table=bytes(table))

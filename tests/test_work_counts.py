@@ -31,7 +31,7 @@ PINNED = {
         "analytic.trig_evals": 456040,
         "classnum.b_tried": 16072,
         "classnum.forms_found": 368,
-        "residues.table_bytes": 91392,
+        "residues.table_bytes": 91248,
         "residues.calls_per_prime": 1.0,
         "sums.calls_per_prime": 7.0,
         "classnum.calls_per_prime": 1.0,

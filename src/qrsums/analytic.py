@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat
 from operator import itemgetter, truediv
+from typing import NamedTuple
 
 from .arith import InvariantError, OddPrime, legendre, primitive_root
 from .classnum import half_units
@@ -64,8 +64,7 @@ def gauss_tolerance(p: int) -> float:
     return 1e-9 * p
 
 
-@dataclass(frozen=True)
-class FloatCheckResult:
+class FloatCheckResult(NamedTuple):
     """Outcome of one float-vs-exact comparison.
 
     computed is the double-precision evaluation (complex for the

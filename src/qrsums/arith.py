@@ -8,9 +8,9 @@ reaches the sum and class-number code is a prime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import compress
 from math import isqrt
+from typing import NamedTuple
 
 
 class InvariantError(RuntimeError):
@@ -78,20 +78,22 @@ def is_prime(n: int) -> bool:
     return _miller_rabin(n)
 
 
-@dataclass(frozen=True)
-class OddPrime:
+class OddPrime(NamedTuple("OddPrime", [("value", int), ("class_mod4", int), ("class_mod8", int)])):
     """A validated odd prime with its residue classes mod 4 and mod 8."""
 
-    value: int
-    class_mod4: int = field(init=False)
-    class_mod8: int = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = self.value
-        if n < 3 or n % 2 == 0 or not is_prime(n):
-            raise ValueError(f"{n} is not an odd prime")
-        object.__setattr__(self, "class_mod4", n % 4)
-        object.__setattr__(self, "class_mod8", n % 8)
+    def __new__(cls, value: int) -> OddPrime:
+        if value < 3 or value % 2 == 0 or not is_prime(value):
+            raise ValueError(f"{value} is not an odd prime")
+        return super().__new__(cls, value, value % 4, value % 8)
+
+    def __getnewargs__(self) -> tuple[int]:  # so unpickling, in a pool worker too, re-checks
+        return (self.value,)
+
+    @classmethod
+    def _make(cls, iterable) -> OddPrime:  # so _replace re-checks, and the classes follow
+        return cls(next(iter(iterable)))
 
 
 def legendre(k: int, p: OddPrime) -> int:

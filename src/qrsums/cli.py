@@ -5,9 +5,9 @@
     qrsums verify --from A --to B [--float] [--float-cap N]
     qrsums gauss --p P
 
-Exit codes: 0 success, 1 verification failure, unwritable output or a
-worker pool that cannot start, 2 internal invariant violation, 64 usage error,
-130 interrupted (Ctrl-C).
+Exit codes: 0 success, 1 verification failure, unwritable output, a
+worker pool that cannot start or not enough memory, 2 internal invariant
+violation, 64 usage error, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import json
 import os
 import stat
 import sys
-import tempfile
 from contextlib import closing, contextmanager
 from itertools import chain, islice
 from typing import IO, Iterator
@@ -153,6 +152,8 @@ def _out_file(path: str) -> Iterator[IO[str]]:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             yield fh
         return
+    import tempfile  # imported here: only scan --out loads it, no other command
+
     fd, tmp = tempfile.mkstemp(prefix=f".{os.path.basename(real)}.", suffix=".tmp",
                                dir=os.path.dirname(real))
     try:
@@ -279,6 +280,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL
     except scan.PoolStartError as exc:
         sys.stderr.write(f"qrsums: {exc}\n")
+        return EXIT_FAILURE
+    except MemoryError:
+        # a pool worker's MemoryError is raised again here by imap
+        sys.stderr.write("qrsums: not enough memory (each prime's residue table takes p bytes)\n")
         return EXIT_FAILURE
     except BrokenPipeError:
         # the reader closed stdout early (`qrsums scan ... | head`)

@@ -24,13 +24,12 @@ is chi_sum: chi is +-1 off zero, so the sum = 2*(#residues in range) - #terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import OddPrime
 
 
-@dataclass(frozen=True)
-class ResidueProfile:
+class ResidueProfile(NamedTuple):
     """All residue statistics of one prime p = 3 (mod 4).
 
     qr_table has length p and is indexed by k in [1, p-1]; entry 1 means k

@@ -16,8 +16,7 @@ the discrepancy numerically (see ERRATA).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .arith import InvariantError, OddPrime
 from .residues import ResidueProfile, chi_sum
@@ -84,8 +83,7 @@ def t_from_m(p: OddPrime, prof: ResidueProfile) -> int:
     return prof.m_sum if p.class_mod8 == 7 else -3 * prof.m_sum
 
 
-@dataclass(frozen=True)
-class SumRecord:
+class SumRecord(NamedTuple):
     """Every exact sum value of one prime, all computed from one profile."""
 
     t_value: int
@@ -126,8 +124,7 @@ def published_t_from_m(p: OddPrime, prof: ResidueProfile) -> int:
     return -m if p.class_mod8 == 7 else 3 * m
 
 
-@dataclass(frozen=True)
-class Erratum:
+class Erratum(NamedTuple):
     """One published-vs-corrected identity pair.
 
     applies(p) tells whether the misprint changes the value at p; where it

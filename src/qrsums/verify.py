@@ -17,7 +17,6 @@ p = 7 (mod 8) branch misprint can only show itself at p = 7 of the two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
 from . import analytic
@@ -42,8 +41,7 @@ class Failure(NamedTuple):
     actual: Any
 
 
-@dataclass(frozen=True)
-class ErratumConfirmation:
+class ErratumConfirmation(NamedTuple):
     identity: str
     prime: int
     published_value: int
@@ -52,15 +50,15 @@ class ErratumConfirmation:
     discrepant: bool
 
 
-@dataclass
 class VerifyReport:
     """One verify run: its range, the checks it ran and what they found."""
 
-    range: tuple[int, int]
-    primes_checked: int = 0
-    checks_run: int = 0
-    failures: list[Failure] = field(default_factory=list)
-    errata_confirmations: list[ErratumConfirmation] = field(default_factory=list)
+    def __init__(self, range: tuple[int, int]) -> None:
+        self.range = range
+        self.primes_checked = 0
+        self.checks_run = 0
+        self.failures: list[Failure] = []
+        self.errata_confirmations: list[ErratumConfirmation] = []
 
     @property
     def ok(self) -> bool:

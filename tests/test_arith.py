@@ -1,5 +1,7 @@
 """Substrate tests: is_prime, OddPrime, legendre, primes_in_range."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -61,6 +63,31 @@ def test_odd_prime_classes():
 def test_odd_prime_rejects(bad):
     with pytest.raises(ValueError):
         OddPrime(bad)
+
+
+def test_odd_prime_is_an_immutable_value():
+    p = OddPrime(23)
+    assert p == OddPrime(23) and hash(p) == hash(OddPrime(23))
+    assert p != OddPrime(19)
+    assert repr(p) == "OddPrime(value=23, class_mod4=3, class_mod8=7)"
+    with pytest.raises(AttributeError):
+        p.value = 5
+    with pytest.raises(AttributeError):
+        p.extra = 1  # no instance dict either
+    assert pickle.loads(pickle.dumps(p)) == p
+    with pytest.raises(ValueError):
+        OddPrime(9)
+    # a copy with a new value is checked, and its classes follow the value
+    assert p._replace(value=13) == OddPrime(13)
+    with pytest.raises(ValueError):
+        p._replace(value=9)
+
+
+def test_unpickled_odd_prime_is_checked_again():
+    # a pool worker unpickles its primes; each must pass OddPrime's check there
+    forged = tuple.__new__(OddPrime, (9, 1, 1))
+    with pytest.raises(ValueError, match="9 is not an odd prime"):
+        pickle.loads(pickle.dumps(forged))
 
 
 # ---- legendre ------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Class numbers: form enumeration against residue counts and known values."""
 
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -128,7 +127,7 @@ def test_h_at_three_carries_unit_factor():
 def test_gap_not_divisible_by_3_is_an_invariant_error():
     p = OddPrime(11)
     prof = residue_profile(p)
-    bad = replace(prof, q_o=prof.q_o + 1)
+    bad = prof._replace(q_o=prof.q_o + 1)
     with pytest.raises(InvariantError, match="not divisible by 3"):
         c_exact(p, bad)
     with pytest.raises(InvariantError, match="not divisible by 3"):
@@ -139,4 +138,4 @@ def test_nonpositive_class_number_is_an_invariant_error():
     p = OddPrime(7)
     prof = residue_profile(p)
     with pytest.raises(InvariantError, match="nonpositive"):
-        h_from_residues(p, replace(prof, q_e=prof.q_o))
+        h_from_residues(p, prof._replace(q_e=prof.q_o))

@@ -14,7 +14,6 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -500,6 +499,30 @@ def test_prime_ceiling_is_2_to_32(monkeypatch, capsys):
         run_cli("report", str((1 << 32) - 5))
 
 
+TOP_PRIMES = ("--from", str((1 << 32) - 17), "--to", str((1 << 32) - 5))  # both = 3 (mod 4)
+
+
+@pytest.mark.parametrize("argv", [
+    ("report", str((1 << 32) - 5)),
+    ("scan", *TOP_PRIMES, "--jobs", "1"),
+    ("scan", *TOP_PRIMES, "--jobs", "2"),
+    ("verify", *TOP_PRIMES),
+], ids=["report", "scan-jobs1", "scan-jobs2", "verify"])
+def test_out_of_memory_exits_failure(monkeypatch, capsys, argv):
+    # fail_fast leaves 1 GiB of address space, so the residue table of a
+    # prime near 2^32 cannot be had, in a pool worker either
+    if argv[-2:] == ("--jobs", "2") and multiprocessing.get_start_method() != "fork":
+        pytest.skip("needs fork-started workers to inherit the address-space limit")
+    monkeypatch.setattr(scan_mod.os, "cpu_count", lambda: 2)  # keep 2 workers on 1 core
+    with fail_fast():
+        assert run_cli(*argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("qrsums: not enough memory")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert multiprocessing.active_children() == []
+
+
 def test_gauss_cost_limit(monkeypatch, capsys):
     monkeypatch.setattr(cli.analytic.math, "cos", never)
     assert run_cli("gauss", "--p", "16411") == 64  # the least eligible prime above 2^14
@@ -541,7 +564,7 @@ def test_doctored_profile_exits_internal(monkeypatch, capsys):
     # q_o one too high at p = 11 leaves T(p) = 44, which 3 does not divide
     def doctored(p):
         prof = residue_profile(p)
-        return replace(prof, q_o=prof.q_o + 1)
+        return prof._replace(q_o=prof.q_o + 1)
 
     monkeypatch.setattr(verify_mod, "residue_profile", doctored)
     assert run_cli("verify", "--from", "11", "--to", "11") == 2
@@ -603,7 +626,7 @@ def test_c_off_by_2p_exits_internal(monkeypatch, capsys, argv):
 
     def c_plus_2p(p, prof):
         rec = sum_record(p, prof)
-        return replace(rec, c_value=rec.c_value + 2 * p.value)
+        return rec._replace(c_value=rec.c_value + 2 * p.value)
 
     monkeypatch.setattr(scan_mod, "sum_record", c_plus_2p)
     monkeypatch.setattr(scan_mod.os, "cpu_count", lambda: 2)  # keep 2 workers on 1 core
@@ -777,10 +800,14 @@ def test_broken_pipe_stops_the_pool():
 
 
 def test_cli_import_is_lean():
-    # multiprocessing loads only when a scan runs with more than one worker
+    # multiprocessing loads only when a scan runs with more than one worker,
+    # tempfile only for scan --out, and dataclasses never; -S keeps the .pth
+    # files of site-packages from importing any of them first
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    unused = {"concurrent.futures", "dataclasses", "multiprocessing", "tempfile"}
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, qrsums.cli; "
-         "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"],
+        [sys.executable, "-S", "-c", f"import sys; sys.path.insert(0, {src!r}); "
+         f"import qrsums.cli; print(sorted({unused!r} & set(sys.modules)))"],
         capture_output=True,
         text=True,
         timeout=60,

@@ -7,8 +7,6 @@ the damage.  A check that reads the wrong entries (a slice taken in the
 wrong direction, say) would stay silent here.
 """
 
-import dataclasses
-
 import pytest
 
 from qrsums import Failure, OddPrime, VerifyReport, confirm_errata, residue_profile, run_verify
@@ -100,7 +98,7 @@ def failed_checks(monkeypatch, pv, corrupt):
             return prof
         table = bytearray(prof.qr_table)
         corrupt(table)
-        return dataclasses.replace(prof, qr_table=bytes(table))
+        return prof._replace(qr_table=bytes(table))
 
     monkeypatch.setattr(verify_mod, "residue_profile", corrupted_profile)
     report = run_verify(pv, pv)

@@ -117,7 +117,7 @@ def test_05_spot_values():
     for pv in (3, 7, 11, 19, 23):
         p = OddPrime(pv)
         h = h_from_forms(p)
-        expect(f"leb({pv})", round(lebesgue_float(p, h=h).computed), h)
+        expect(f"leb({pv})", round(lebesgue_float(p, prof(pv), h=h).computed), h)
     ok = not wrong
     assert _verdict(5, "frozen spot values and rounded class numbers", ok, f"{len(wrong)} wrong"), wrong
 

@@ -162,7 +162,7 @@ def test_float_checks_names():
         "tangent_sum", "cotangent_sum", "whiteman_sum", "lebesgue_formula", "berndt_sum",
     ]
     singly = [t_float(p, prof), c_float(p, prof), whiteman_sum(p, prof),
-              lebesgue_float(p, h=h_from_forms(p)), berndt_m_float(p, prof)]
+              lebesgue_float(p, prof, h=h_from_forms(p)), berndt_m_float(p, prof)]
     assert checks == singly and all(r.passed for r in checks)
 
 
@@ -206,7 +206,8 @@ def test_each_check_makes_its_own_tan_calls(monkeypatch, pv):
     half = (pv - 1) // 2
     want = [(t_float, prof_kw, half), (c_float, prof_kw, half)]
     if p.class_mod4 == 3:
-        want += [(whiteman_sum, prof_kw, pv - 1), (lebesgue_float, {"h": h_from_forms(p)}, pv - 1),
+        want += [(whiteman_sum, prof_kw, pv - 1),
+                 (lebesgue_float, {**prof_kw, "h": h_from_forms(p)}, pv - 1),
                  (berndt_m_float, prof_kw, pv - 1)]
     for check, kwargs, calls in want:
         counting.tan_calls = 0
@@ -215,32 +216,49 @@ def test_each_check_makes_its_own_tan_calls(monkeypatch, pv):
 
 
 def clear_angle_tables():
-    analytic._square_angles.cache_clear()
-    analytic._nonsquare_angles.cache_clear()
+    analytic._angle_tables.cache_clear()
+
+
+def ascending(angles):
+    return all(a < b for a, b in zip(angles, angles[1:]))
+
+
+def swapped_table(prof, k):
+    """prof's table with k and p - k swapped, its counts left as they are."""
+    table = bytearray(prof.qr_table)
+    pv = prof.p.value
+    table[k], table[pv - k] = table[pv - k], table[k]
+    return bytes(table)
 
 
 def test_angle_tables_built_once_per_prime():
     clear_angle_tables()
-    suite(OddPrime(23))
-    squares = analytic._square_angles.cache_info()
-    nonsquares = analytic._nonsquare_angles.cache_info()
-    assert (squares.misses, squares.hits) == (1, 4)  # tangent; cotangent, Whiteman, Lebesgue, Berndt
-    assert (nonsquares.misses, nonsquares.hits) == (1, 1)  # Lebesgue; Berndt
+    p = OddPrime(23)
+    prof = residue_profile(p)
+    float_checks(p, prof, h_from_forms(p))
+    tables = analytic._angle_tables.cache_info()
+    assert (tables.misses, tables.hits) == (1, 4)  # tangent; cotangent, Whiteman, Lebesgue, Berndt
+    # the passes run faster over ascending angles
+    squares, reflected = analytic._angle_tables(23, prof.qr_table)
+    assert ascending(squares) and ascending(reflected)
+    assert len(squares) == len(reflected) == 11
 
 
 def test_chi_cot_angles_are_the_unit_angles():
-    # at p = 3 (mod 4) the squares and their reflections p - n^2 mod p meet
-    # each k in [1, p-1] once, and both tables form pi * k / p from the
-    # integer k: the same doubles, so fsum returns the chi-weighted sum over
-    # k, read from the residue table, to the last bit
+    # at p = 3 (mod 4) the residues and the k whose reflection p - k is a
+    # residue meet each k in [1, p-1] once, and both tables form pi * k / p
+    # from the integer k, ascending: the same doubles, so fsum returns the
+    # chi-weighted sum over k to the last bit
     for p in primes_in_range(3, 2000, mod4=3):
         pv = p.value
+        prof = residue_profile(p)
         units = [math.pi * k / pv for k in range(1, pv)]
-        angles = [*analytic._square_angles(pv), *analytic._nonsquare_angles(pv)]
-        assert sorted(angles) == sorted(units), pv
-        chi = residue_profile(p).chi
-        want = math.fsum(chi(k) / math.tan(x) for k, x in enumerate(units, 1))
-        assert analytic._chi_cot_sum(p) == want, pv
+        squares, reflected = analytic._angle_tables(pv, prof.qr_table)
+        assert ascending(squares) and ascending(reflected), pv
+        assert sorted([*squares, *reflected]) == units, pv
+        assert list(squares) == [x for k, x in enumerate(units, 1) if prof.chi(k) == 1], pv
+        want = math.fsum(prof.chi(k) / math.tan(x) for k, x in enumerate(units, 1))
+        assert analytic._chi_cot_sum(p, prof) == want, pv
 
 
 def test_angle_tables_never_stale():
@@ -251,6 +269,33 @@ def test_angle_tables_never_stale():
     want = {pv: fresh(pv) for pv in (23, 29, 31)}
     for pv in (23, 29, 23, 31, 23):
         assert suite(OddPrime(pv)) == want[pv], pv
+    # a different table object for the same p gets its own angles, never the
+    # last table's: a copy gets equal ones, a changed table different ones
+    prof = residue_profile(OddPrime(23))
+    real = analytic._angle_tables(23, prof.qr_table)
+    copy = bytes(bytearray(prof.qr_table))
+    assert copy is not prof.qr_table and analytic._angle_tables(23, copy) == real
+    swapped = swapped_table(prof, 1)
+    assert swapped != prof.qr_table
+    wrong = analytic._angle_tables(23, swapped)
+    assert wrong != real and ascending(wrong[0]) and ascending(wrong[1])
+    assert analytic._angle_tables(23, prof.qr_table) == real
+    assert analytic._angle_tables(23, None) != real  # the n-order squares, no reflections
+
+
+@pytest.mark.parametrize("pv", [23, 9187])
+@pytest.mark.parametrize("pick", (0, -1))
+def test_float_suite_rejects_a_wrong_residue_table(pv, pick):
+    # one residue k <= (p-1)/2 moved to p - k, counts kept: the float suite
+    # reads its residue set from the table, and h comes from the forms
+    p = OddPrime(pv)
+    prof = residue_profile(p)
+    h = h_from_forms(p)
+    k = [k for k in range(1, (pv - 1) // 2 + 1) if prof.qr_table[k]][pick]
+    bad = prof._replace(qr_table=swapped_table(prof, k))
+    assert lebesgue_float(p, prof, h=h).passed and t_float(p, prof).passed
+    assert not lebesgue_float(p, bad, h=h).passed
+    assert not t_float(p, bad).passed
 
 
 def test_whiteman_sum():
@@ -348,7 +393,7 @@ def test_lebesgue_rounds_to_h():
     for pv in (3, 7, 11, 19, 23):
         p = OddPrime(pv)
         h = h_from_forms(p)
-        r = lebesgue_float(p, h=h)
+        r = lebesgue_float(p, residue_profile(p), h=h)
         assert r.passed
         assert round(r.computed) == h == r.reference
 
@@ -356,24 +401,24 @@ def test_lebesgue_rounds_to_h():
 def test_lebesgue_takes_the_callers_h(monkeypatch):
     # a caller that holds h passes it down, and the forms are not walked again
     p = OddPrime(23)
-    h = h_from_forms(p)
+    prof, h = residue_profile(p), h_from_forms(p)
 
     def never(p):
         raise AssertionError("forms enumerated twice")
 
     monkeypatch.setattr(analytic, "h_from_forms", never)
-    r = lebesgue_float(p, h=h)
+    r = lebesgue_float(p, prof, h=h)
     assert r.passed and r.reference == h
-    assert float_checks(p, residue_profile(p), h)[3] == r
-    assert not lebesgue_float(p, h=h + 2).passed
+    assert float_checks(p, prof, h)[3] == r
+    assert not lebesgue_float(p, prof, h=h + 2).passed
 
 
 def test_chi_cot_checks_reject_class1():
     # chi(-1) = +1 at p = 1 (mod 4): the squares' reflections are squares too
     with pytest.raises(ValueError, match=r"p = 13 is 1 \(mod 4\)"):
-        lebesgue_float(OddPrime(13), h=1)
+        lebesgue_float(OddPrime(13), None, h=1)
     with pytest.raises(ValueError, match=r"p = 13 is 1 \(mod 4\)"):
-        analytic._chi_cot_sum(OddPrime(13))  # Berndt's sum, which also needs a profile
+        analytic._chi_cot_sum(OddPrime(13), None)  # Berndt's sum, which also needs a profile
 
 
 def test_berndt_matches_minus_m():

@@ -87,7 +87,7 @@ def residues_up_to_half(pv, parity=None):
     return ks
 
 
-def failed_checks(monkeypatch, pv, corrupt):
+def failed_checks(monkeypatch, pv, corrupt, with_float=False):
     """Names of the checks verify fails at pv when its table is corrupted;
     the errata primes' profiles, built in the same module, stay intact."""
     real = verify_mod.residue_profile
@@ -101,7 +101,7 @@ def failed_checks(monkeypatch, pv, corrupt):
         return prof._replace(qr_table=bytes(table))
 
     monkeypatch.setattr(verify_mod, "residue_profile", corrupted_profile)
-    report = run_verify(pv, pv)
+    report = run_verify(pv, pv, with_float=with_float)
     assert report.primes_checked == 1
     return {f.check for f in report.failures if f.p == pv}
 
@@ -160,3 +160,18 @@ def test_residue_dropped(monkeypatch, pv, pick):
     failed = failed_checks(monkeypatch, pv, drop)
     assert "table_count" in failed
     assert "table_negation" not in failed
+
+
+@pytest.mark.parametrize("pv", (23, 9187))
+@pytest.mark.parametrize("pick", (0, -1))
+def test_float_suite_sees_a_swapped_residue(monkeypatch, pv, pick):
+    # the float suite takes its residue set from the table: k and p - k
+    # swapped, counts kept, fail Lebesgue's formula against the forms' h and
+    # the tangent sum against the counts' T
+    k = residues_up_to_half(pv)[pick]
+
+    def swap(table):
+        table[k], table[pv - k] = table[pv - k], table[k]
+
+    failed = failed_checks(monkeypatch, pv, swap, with_float=True)
+    assert {"lebesgue_formula", "tangent_sum"} <= failed

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from itertools import compress
 from math import isqrt
+from operator import index
 from typing import NamedTuple
 
 
@@ -63,13 +64,15 @@ def _miller_rabin(n: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality test.
+    """Exact primality test for n < 2^64; n >= 2^64 is a ValueError.
 
     Trial division below 10^4, then Miller-Rabin with the fixed witness
     set (2, 3, ..., 37), which is deterministic for all n < 2^64.
     """
     if n < 2:
         return False
+    if n >= 1 << 64:  # psi_12 itself passes all twelve bases
+        raise ValueError(f"primality is proven only below 2^64, got {n}")
     if n < _TRIAL_LIMIT:
         return _trial_division(n)
     for a in _MR_BASES:
@@ -79,11 +82,12 @@ def is_prime(n: int) -> bool:
 
 
 class OddPrime(NamedTuple("OddPrime", [("value", int), ("class_mod4", int), ("class_mod8", int)])):
-    """A validated odd prime with its residue classes mod 4 and mod 8."""
+    """A validated odd prime, an int below 2^64, with its classes mod 4 and 8."""
 
     __slots__ = ()
 
     def __new__(cls, value: int) -> OddPrime:
+        value = index(value)
         if value < 3 or value % 2 == 0 or not is_prime(value):
             raise ValueError(f"{value} is not an odd prime")
         return super().__new__(cls, value, value % 4, value % 8)

@@ -5,9 +5,9 @@ primes, so output is the same for any worker count.  With more than one
 worker the map runs on a process pool, which is stopped, closed and joined,
 never terminated: a reader that goes away, a worker that fails or Ctrl-C
 ends the scan within one prime per worker.  Every row value is an exact
-integer.  prime_record builds each row, and `report`'s record too, and runs
-verify's record checks on it (T, C and h by their second routes) before
-either goes out.
+integer.  Each row, and `report`'s record too, is read off the record that
+verify's check_record builds and checks (T, C and h by their second routes)
+before either goes out.
 """
 
 from __future__ import annotations
@@ -18,9 +18,11 @@ import signal
 from typing import IO, Iterable, Iterator
 
 from .arith import InvariantError, OddPrime, primes_in_range
-from .classnum import h_from_forms
-from .residues import ResidueProfile, residue_profile
-from .sums import SumRecord, sum_record
+from .classnum import h_from_forms  # noqa: F401  bench/spans.WRAP_TARGETS wraps this name
+from .residues import ResidueProfile
+from .residues import residue_profile  # noqa: F401  bench/spans.WRAP_TARGETS wraps this name
+from .sums import SumRecord
+from .sums import sum_record  # noqa: F401  bench/spans.WRAP_TARGETS wraps this name
 from .verify import VerifyReport, check_record
 
 COLUMNS = ("p", "class_mod8", "q_o", "q_e", "A", "M", "T", "C", "h",
@@ -36,13 +38,10 @@ class PoolStartError(Exception):
 
 
 def prime_record(p: OddPrime) -> tuple[Row, ResidueProfile, SumRecord, int]:
-    """p's row with the profile, sum record and forms-route h it is read from;
-    the first of verify's record checks to fail is an InvariantError naming it."""
-    prof = residue_profile(p)
-    rec = sum_record(p, prof)
-    h = h_from_forms(p)
+    """p's row and the record that verify's check_record builds it from; the
+    first of check_record's checks to fail is an InvariantError naming it."""
     checked = VerifyReport((p.value, p.value))
-    check_record(p, prof, rec, h, checked)
+    prof, rec, h = check_record(p, checked)
     for f in checked.failures[:1]:
         raise InvariantError(f"{f.check}: expected {f.expected}, got {f.actual} at p={f.p}")
     row = (

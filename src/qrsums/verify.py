@@ -1,14 +1,14 @@
 """Range verification: every identity, both exact routes, one report.
 
 For each prime p = 3 (mod 4) in range the full exact invariant suite runs
-(residue statistics, the interval and parity laws, the table checks, the
-record checks, the strict bounds).  The record checks, check_record, need
-no table: the six T routes, the shapes of T and C, both class number
-routes, and C and T against p*h.  scan and report run them too, on every
-row and record they print.  With floats enabled the defining trigonometric
-expressions are re-evaluated in double precision for primes up to a cap,
-including the vanishing checks at p = 1 (mod 4) and the exponential sums
-for small p.
+(the record checks, then residue statistics, the interval and parity laws,
+the table checks and the strict bounds).  check_record is the one builder
+of a prime's record, its profile, sum record and forms-route h, for verify,
+scan and report alike; its checks need no table: the six T routes, the
+shapes of T and C, both class number routes, and C and T against p*h.
+With floats enabled the defining trigonometric expressions are re-evaluated
+in double precision for primes up to a cap, including the vanishing checks
+at p = 1 (mod 4) and the exponential sums for small p.
 
 Independently of the range, the three published-form discrepancies are
 re-derived at p = 7 and p = 11 and the corrected forms confirmed; the
@@ -75,11 +75,12 @@ class VerifyReport:
             self.failures.append(Failure(p, check, "holds", detail))
 
 
-def check_record(
-    p: OddPrime, prof: ResidueProfile, sums: SumRecord, h: int, rec: VerifyReport
-) -> None:
-    """The checks of p's values into rec, which scan and report run too: T by
-    its six routes and its shape, C's shape, h by both routes, C and T by h."""
+def check_record(p: OddPrime, rec: VerifyReport) -> tuple[ResidueProfile, SumRecord, int]:
+    """Build, check into rec and return p's profile, sum record and forms-route
+    h: T by its six routes and shape, C's shape, h by both routes, C and T by h."""
+    prof = residue_profile(p)
+    sums = sum_record(p, prof)
+    h = h_from_forms(p)
     pv, t, c = p.value, sums.t_value, sums.c_value
     # six routes to T
     rec.expect(pv, "t_route_alternating_full", t, sums.t_expr[0])
@@ -106,13 +107,13 @@ def check_record(
     rec.expect(pv, "c_vs_h", pv * h, c * units)
     t_from_h = -pv * h if p.class_mod8 == 7 else 3 * pv * h // units
     rec.expect(pv, "t_vs_h", t_from_h, t)
+    return prof, sums, h
 
 
 def _check_exact(p: OddPrime, rec: VerifyReport) -> tuple[ResidueProfile, int]:
-    """Run the exact suite; return the profile and forms-route h it built."""
+    """Run the exact suite; return the profile and forms-route h it checked."""
+    prof, _, h = check_record(p, rec)
     pv = p.value
-    prof = residue_profile(p)
-    sums = sum_record(p, prof)
     half = (pv - 1) // 2
 
     # table and count sanity
@@ -167,15 +168,12 @@ def _check_exact(p: OddPrime, rec: VerifyReport) -> tuple[ResidueProfile, int]:
         (1 - chi2) * even_part,
     )
 
-    hf = h_from_forms(p)
-    check_record(p, prof, sums, hf, rec)
-
     # strict bounds
     hb = analytic.bound_harmonic(p, prof)
     rec.expect_true(pv, hb.name, hb.passed, (hb.reference, hb.computed))
     pvb = analytic.bound_pv(p, prof)
     rec.expect_true(pv, pvb.name, pvb.passed, (pvb.reference, pvb.computed))
-    return prof, hf
+    return prof, h
 
 
 def _float_detail(r: analytic.FloatCheckResult) -> tuple:

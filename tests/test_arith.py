@@ -1,6 +1,7 @@
 """Substrate tests: is_prime, OddPrime, legendre, primes_in_range."""
 
 import pickle
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,23 @@ def test_is_prime_strong_pseudoprime():
     n = 3_215_031_751
     assert not is_prime(n)
     assert n % 151 == 0  # witnessed composite
+
+
+# psi_12 = 399165290221 * 798330580441, the least strong pseudoprime to all
+# twelve witness bases; it lies above 2^64, where is_prime claims nothing
+PSI_12 = 318_665_857_834_031_151_167_461
+
+
+def test_is_prime_range_ends_at_2_to_64():
+    largest = (1 << 64) - 59  # the largest prime below 2^64
+    assert is_prime(largest) and not is_prime(largest - 2)
+    assert OddPrime(largest).value == largest
+    assert PSI_12 == 399_165_290_221 * 798_330_580_441
+    for n in (1 << 64, PSI_12):
+        with pytest.raises(ValueError, match="below 2\\^64"):
+            is_prime(n)
+        with pytest.raises(ValueError):
+            OddPrime(n)
 
 
 def test_is_prime_matches_sieve_to_1e6():
@@ -62,6 +80,14 @@ def test_odd_prime_classes():
 @pytest.mark.parametrize("bad", [1, 2, 4, 9, 15, 3_215_031_751])
 def test_odd_prime_rejects(bad):
     with pytest.raises(ValueError):
+        OddPrime(bad)
+
+
+@pytest.mark.parametrize("bad", [7.0, Fraction(11)], ids=["float", "Fraction"])
+def test_odd_prime_takes_only_integers(bad):
+    # equal to a prime, but a record built from it would hold a float or a
+    # Fraction where every layer expects an int
+    with pytest.raises(TypeError):
         OddPrime(bad)
 
 

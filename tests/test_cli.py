@@ -196,14 +196,14 @@ def test_scan_failing_midway_leaves_out_as_it_was(monkeypatch, capsys, tmp_path,
     # this long keep a worker computing, not sending, when the pool ends
     if jobs == "2" and multiprocessing.get_start_method() != "fork":
         pytest.skip("needs fork-started workers to inherit the patch")
-    h_from_forms = scan_mod.h_from_forms
+    h_from_forms = verify_mod.h_from_forms
 
     def fail_at_4051(p):
         if p.value == 4051:
             raise InvariantError("forced at p = 4051")
         return h_from_forms(p)
 
-    monkeypatch.setattr(scan_mod, "h_from_forms", fail_at_4051)
+    monkeypatch.setattr(verify_mod, "h_from_forms", fail_at_4051)
     monkeypatch.setattr(scan_mod.os, "cpu_count", lambda: 2)  # keep 2 workers on 1 core
     existing = tmp_path / "existing.csv"
     existing.write_text("old,content\n")
@@ -404,7 +404,8 @@ def class3(lo, hi):
     (("verify", "--from", "3", "--to", "600", "--float"), class3(3, 600)),
     (("verify", "--from", "600", "--to", "700", "--float"), class3(600, 700) | {7, 11}),
     (("report", "9187", "--float"), {9187}),
-], ids=["verify-3-600", "verify-600-700", "report-9187"])
+    (("scan", "--from", "3", "--to", "600"), class3(3, 600)),
+], ids=["verify-3-600", "verify-600-700", "report-9187", "scan-3-600"])
 def test_each_profile_built_once(monkeypatch, capsys, argv, primes):
     # every layer reads the profile its caller built, the errata at 7 and 11
     # included, and none builds its own
@@ -489,7 +490,7 @@ def test_huge_prime_rejected(argv):
 
 
 def test_prime_ceiling_is_2_to_32(monkeypatch, capsys):
-    monkeypatch.setattr(cli.scan, "residue_profile", never)
+    monkeypatch.setattr(cli.verify, "residue_profile", never)
     monkeypatch.setattr(cli.analytic, "gauss_sum_checks", never)
     first_above = (1 << 32) + 15  # the least prime above 2^32, = 3 (mod 4)
     assert run_cli("report", str(first_above)) == 64
@@ -582,7 +583,7 @@ def test_internal_error_in_scan_worker(monkeypatch, capsys):
     def boom(p):
         raise InvariantError(f"forced in pid {os.getpid()}")
 
-    monkeypatch.setattr(scan_mod, "h_from_forms", boom)
+    monkeypatch.setattr(verify_mod, "h_from_forms", boom)
     monkeypatch.setattr(scan_mod.os, "cpu_count", lambda: 2)  # keep 2 workers on 1 core
     assert run_cli("scan", "--from", "3", "--to", "200", "--jobs", "2") == 2
     err = capsys.readouterr().err
@@ -622,13 +623,13 @@ def test_c_off_by_2p_exits_internal(monkeypatch, capsys, argv):
     # C + 2p keeps C's shape (odd, one factor p), so only C = p*h catches it
     if argv[-2:] == ("--jobs", "2") and multiprocessing.get_start_method() != "fork":
         pytest.skip("needs fork-started workers to inherit the patch")
-    sum_record = scan_mod.sum_record
+    sum_record = verify_mod.sum_record
 
     def c_plus_2p(p, prof):
         rec = sum_record(p, prof)
         return rec._replace(c_value=rec.c_value + 2 * p.value)
 
-    monkeypatch.setattr(scan_mod, "sum_record", c_plus_2p)
+    monkeypatch.setattr(verify_mod, "sum_record", c_plus_2p)
     monkeypatch.setattr(scan_mod.os, "cpu_count", lambda: 2)  # keep 2 workers on 1 core
     assert run_cli(*argv) == 2
     # p = 3: 3 * h = 3 against (1 + 6) * 3 units; p = 23: 23 * 3 = 69 against 115
@@ -641,14 +642,14 @@ def test_scan_worker_error_stops_the_pool(monkeypatch, capsys):
     # one early prime fails; the command must not wait for the rest of the range
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("needs fork-started workers to inherit the patch")
-    h_from_forms = scan_mod.h_from_forms
+    h_from_forms = verify_mod.h_from_forms
 
     def fail_at_1019(p):
         if p.value == 1019:
             raise InvariantError("forced at p = 1019")
         return h_from_forms(p)
 
-    monkeypatch.setattr(scan_mod, "h_from_forms", fail_at_1019)
+    monkeypatch.setattr(verify_mod, "h_from_forms", fail_at_1019)
     monkeypatch.setattr(scan_mod.os, "cpu_count", lambda: 2)
     start = time.monotonic()
     assert run_cli("scan", "--from", "3", "--to", "150000", "--jobs", "2") == 2
@@ -661,7 +662,7 @@ def test_scan_worker_error_never_terminates_the_pool(monkeypatch, capsys):
     # can leave the pool blocked for good; the scan must close and join it
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("needs fork-started workers to inherit the patch")
-    h_from_forms = scan_mod.h_from_forms
+    h_from_forms = verify_mod.h_from_forms
 
     def fail_at_1019(p):
         if p.value == 1019:
@@ -671,7 +672,7 @@ def test_scan_worker_error_never_terminates_the_pool(monkeypatch, capsys):
     def terminate(self):
         raise AssertionError("Pool.terminate reached")
 
-    monkeypatch.setattr(scan_mod, "h_from_forms", fail_at_1019)
+    monkeypatch.setattr(verify_mod, "h_from_forms", fail_at_1019)
     monkeypatch.setattr(scan_mod.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", terminate)
     assert run_cli("scan", "--from", "3", "--to", "2000", "--jobs", "2") == 2

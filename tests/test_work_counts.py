@@ -10,6 +10,7 @@ these figures and say so; a change that only moves code must leave them.
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import io
 import sys
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+SRC = Path(__file__).resolve().parent.parent / "src" / "qrsums"
 sys.path.insert(0, str(BENCH))
 
 import spans  # noqa: E402
@@ -67,3 +69,27 @@ def traced_pass(workload: str) -> dict[str, float]:
 def test_work_counts_pinned(workload):
     metrics = traced_pass(workload)
     assert {name: metrics[name] for name in PINNED[workload]} == PINNED[workload]
+
+
+SEAM = "bench/spans.WRAP_TARGETS wraps this name"
+
+
+def test_bench_seams_are_used_by_the_bench_alone():
+    # an import kept only for bench/spans.py to wrap is one the bench does
+    # wrap, and nothing in its module reads it: so it goes once the bench
+    # stops wrapping it, and code that starts to read it again fails here
+    wrapped = {(module, name) for module, name, _ in spans.WRAP_TARGETS}
+    seams = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and SEAM in lines[node.lineno - 1]:
+                for alias in node.names:
+                    seam = (f"qrsums.{path.stem}", alias.asname or alias.name)
+                    assert seam in wrapped, seam
+                    assert seam[1] not in read, seam
+                    seams.append(seam)
+    assert seams, f"no import line in {SRC} carries {SEAM!r}"

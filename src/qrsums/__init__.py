@@ -36,6 +36,7 @@ from .classnum import (
 )
 from .analytic import (
     FloatCheckResult,
+    angle_tables,
     berndt_m_float,
     bound_harmonic,
     bound_pv,
@@ -64,6 +65,7 @@ __all__ = [
     "ResidueProfile",
     "SumRecord",
     "VerifyReport",
+    "angle_tables",
     "berndt_m_float",
     "bound_harmonic",
     "bound_pv",

@@ -8,26 +8,25 @@ Lebesgue's and Berndt's formulas scale one chi-cot sum two ways.
 
 Angles are always formed from exactly reduced integers: tan(pi n^2 / p) is
 evaluated as tan(pi * m / p) with m = n^2 mod p, never from the unreduced
-product pi * n^2.  Each prime's angles are formed once, into two tables the
-passes share.  At p = 3 (mod 4) both are read off the residue table of p's
-profile, each in ascending order: pi * m / p for the residues m, which are
-the squares n^2 mod p of n in [1, (p-1)/2], each once, read by the half-range
-sums, twice by Whiteman's sum (n and p - n square alike) and by the chi-cot
-sum, which reads pi * k / p for the k whose reflection p - k is a residue
-next (chi(k) = -1 there).  At p = 1 (mod 4) there is no table, and only the
-squares are formed, from n^2 mod p in n order.  The tables are arrays of
-doubles, about 8 p bytes at p = 3 (mod 4); only the last prime's are kept.
-Each pass still evaluates its own tan (or cot, as 1 / tan) per term.  Every
-sum is math.fsum, so it is correctly rounded whatever order the terms come
-in, and each trigonometric check is held to trig_bound, an a-priori bound on
-its own rounding error.
+product pi * n^2.  float_checks forms each prime's angles once, into the two
+arrays of doubles of angle_tables (about 8 p bytes at p = 3 (mod 4)), hands
+them to each pass and drops them when it returns.  At p = 3 (mod 4) both are
+read off the residue table of p's profile, in ascending order: pi * m / p
+for the residues m, which are the squares n^2 mod p of n in [1, (p-1)/2],
+each once, read by the half-range sums, twice by Whiteman's sum (n and p - n
+square alike) and by the chi-cot sum, which reads pi * k / p for the k whose
+reflection p - k is a residue next (chi(k) = -1 there).  At p = 1 (mod 4)
+there is no table, and only the squares are formed, in n order.  Each pass
+still evaluates its own tan (or cot, as 1/tan) per term.  Every sum is
+math.fsum, so it is correctly rounded whatever order the terms come in, and
+each trigonometric check is held to trig_bound, an a-priori bound on its own
+rounding error.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from functools import lru_cache
 from itertools import chain, compress, repeat
 from operator import itemgetter, truediv
 from typing import NamedTuple
@@ -100,59 +99,54 @@ def _approx(name: str, computed: float | complex, reference: float | complex,
     )
 
 
-# Only the last (p, table)'s tables are kept: the float suite runs its passes
-# prime by prime, and a different table for the same p builds its own.
-# Callers only iterate them.  An array holds 8 bytes an angle, a list of
-# floats about 32.
-@lru_cache(maxsize=1)
-def _angle_tables(pv: int, qr_table: bytes | None) -> tuple[array, array]:
+def angle_tables(p: OddPrime, profile: ResidueProfile | None) -> tuple[array, array]:
     """pi * m / p for the squares m = n^2 mod p, n <= (p-1)/2, and pi * k / p
     for the k whose reflection p - k is a square: at p = 3 (mod 4) the
-    residues and the non-residues, ascending, read off p's table; with no
-    table (p = 1 (mod 4)) the squares in n order and no reflections.
-    pi * m / float(p) is pi * m / p to the bit, as p < 2^53."""
+    residues and the non-residues, ascending, read off the profile's table;
+    with no profile (p = 1 (mod 4)) the squares in n order and no reflections.
+    Arrays: 8 bytes an angle, where a float takes 32.  pi * m / float(p) is
+    pi * m / p to the bit, as p < 2^53."""
+    pv = p.value
     pi, fp = math.pi, float(pv)
-    if qr_table is None:
+    if profile is None:
         return array("d", [pi * (n * n % pv) / fp for n in range(1, (pv - 1) // 2 + 1)]), array("d")
     # ascending: a tan or cot pass then takes 13-31% less time than in n order
-    squares = array("d", [pi * m / fp for m in compress(range(pv), qr_table)])
-    reflected = array("d", [pi * k / fp for k in compress(range(1, pv), qr_table[:0:-1])])
+    squares = array("d", [pi * m / fp for m in compress(range(pv), profile.qr_table)])
+    reflected = array("d", [pi * k / fp for k in compress(range(1, pv), profile.qr_table[:0:-1])])
     return squares, reflected
 
 
-def t_float(p: OddPrime, profile: ResidueProfile | None) -> FloatCheckResult:
+def t_float(p: OddPrime, profile: ResidueProfile | None, squares: array) -> FloatCheckResult:
     """sqrt(p) * sum tan(pi n^2 / p) over n = 1 .. (p-1)/2, any odd prime.
 
     Reference: t_exact(p, profile) for p = 3 (mod 4), and 0 for p = 1 (mod 4)
     (the terms cancel in pairs there; p has no profile, so profile is None).
     """
     pv = p.value
-    squares, _ = _angle_tables(pv, None if profile is None else profile.qr_table)
     computed = math.sqrt(pv) * math.fsum(map(math.tan, squares))
     ref = float(t_exact(p, profile)) if p.class_mod4 == 3 else 0.0
     return _approx("tangent_sum", computed, ref, trig_bound(pv, math.sqrt(pv), False, True))
 
 
-def c_float(p: OddPrime, profile: ResidueProfile | None) -> FloatCheckResult:
+def c_float(p: OddPrime, profile: ResidueProfile | None, squares: array) -> FloatCheckResult:
     """sqrt(p) * sum cot(pi n^2 / p) over n = 1 .. (p-1)/2, any odd prime."""
     pv = p.value
-    squares, _ = _angle_tables(pv, None if profile is None else profile.qr_table)
     cots = map(truediv, repeat(1.0), map(math.tan, squares))
     computed = math.sqrt(pv) * math.fsum(cots)
     ref = float(c_exact(p, profile)) if p.class_mod4 == 3 else 0.0
     return _approx("cotangent_sum", computed, ref, trig_bound(pv, math.sqrt(pv), True, True))
 
 
-def whiteman_sum(p: OddPrime, profile: ResidueProfile) -> FloatCheckResult:
-    """sum cot(pi n^2 / p) over the full range n = 1 .. p-1, p = 3 (mod 4).
+def whiteman_sum(p: OddPrime, profile: ResidueProfile, squares: array) -> FloatCheckResult:
+    """sum cot(pi n^2 / p) over the full range n = 1 .. p-1, p = 3 (mod 4):
+    the squares twice, as n and p - n square alike.
 
     Whiteman's inequality says this is strictly positive; the exact value
     is 2 C(p) / sqrt(p), and the check demands both closeness and
     positivity.
     """
     pv = p.value
-    half, _ = _angle_tables(pv, profile.qr_table)  # n and p - n square alike
-    computed = math.fsum(map(truediv, repeat(1.0), map(math.tan, chain(half, half))))
+    computed = math.fsum(map(truediv, repeat(1.0), map(math.tan, chain(squares, squares))))
     ref = 2.0 * c_exact(p, profile) / math.sqrt(pv)
     return _approx("whiteman_sum", computed, ref, trig_bound(pv, 1.0, True, False),
                    extra_ok=computed > 0.0)
@@ -206,42 +200,41 @@ def gauss_sum_checks(p: OddPrime) -> list[FloatCheckResult]:
     return checks
 
 
-def _chi_cot_sum(p: OddPrime, profile: ResidueProfile) -> float:
-    """sum_{k=1}^{p-1} chi(k) cot(k pi / p), the sum behind Lebesgue's and
-    Berndt's formulas, p = 3 (mod 4).  There chi(-1) = -1, so chi(k) is +1
-    at the residues k and -1 where the reflection p - k is a residue."""
-    pv = p.value
+def _chi_cot_sum(p: OddPrime, squares: array, reflected: array) -> float:
+    """sum_{k=1}^{p-1} chi(k) cot(k pi / p) over both angle tables, the sum
+    behind Lebesgue's and Berndt's formulas, p = 3 (mod 4): chi(-1) = -1, so
+    chi(k) is +1 at the residues k and -1 where the reflection p - k is one."""
     if p.class_mod4 != 3:
-        raise ValueError(f"p = {pv} is 1 (mod 4); the chi-cot sum needs 3 (mod 4)")
-    squares, reflected = _angle_tables(pv, profile.qr_table)
+        raise ValueError(f"p = {p.value} is 1 (mod 4); the chi-cot sum needs 3 (mod 4)")
     plus = map(truediv, repeat(1.0), map(math.tan, squares))
     minus = map(truediv, repeat(-1.0), map(math.tan, reflected))
     return math.fsum(chain(plus, minus))
 
 
-def lebesgue_float(p: OddPrime, profile: ResidueProfile, *, h: int) -> FloatCheckResult:
+def lebesgue_float(p: OddPrime, squares: array, reflected: array, *, h: int) -> FloatCheckResult:
     """Class number by Lebesgue's cotangent formula, against the caller's h.
 
     (w/2) * (1 / (2 sqrt p)) * sum_{k=1}^{p-1} chi(k) cot(k pi / p), where
     w/2 = half_units(p) is the unit factor of the discriminant -p field and
-    chi is read from the profile's table.  verify and report pass the forms'
-    h, which never reads the table, so a wrong table fails here.
+    chi is read from the angle tables, off the residue table.  verify and
+    report pass the forms' h, which never reads it, so a wrong table fails.
     """
     pv = p.value
-    total = _chi_cot_sum(p, profile)
+    total = _chi_cot_sum(p, squares, reflected)
     computed = half_units(p) * total / (2.0 * math.sqrt(pv))
     tol = trig_bound(pv, half_units(p) / (2.0 * math.sqrt(pv)), True, False)
     return _approx("lebesgue_formula", computed, float(h), tol)
 
 
-def berndt_m_float(p: OddPrime, profile: ResidueProfile) -> FloatCheckResult:
+def berndt_m_float(p: OddPrime, profile: ResidueProfile, squares: array,
+                   reflected: array) -> FloatCheckResult:
     """Berndt's cotangent form of the weighted sum M = sum chi(k) k.
 
     (sqrt(p)/2) * sum_{k=1}^{p-1} chi(k) cot(k pi / p) evaluates to -M(p)
     (the published statement drops the sign), so the reference is -m_sum.
     """
     pv = p.value
-    computed = math.sqrt(pv) / 2.0 * _chi_cot_sum(p, profile)
+    computed = math.sqrt(pv) / 2.0 * _chi_cot_sum(p, squares, reflected)
     ref = float(-profile.m_sum)
     return _approx("berndt_sum", computed, ref, trig_bound(pv, math.sqrt(pv) / 2.0, True, False))
 
@@ -250,13 +243,15 @@ def float_checks(p: OddPrime, profile: ResidueProfile | None = None,
                  h: int | None = None) -> list[FloatCheckResult]:
     """The float suite of one prime, in a fixed order: the two half-range
     sums (which vanish at p = 1 (mod 4)), then at p = 3 (mod 4), given p's
-    profile and h, Whiteman's sum and Lebesgue's and Berndt's formulas."""
+    profile and h, Whiteman's sum and Lebesgue's and Berndt's formulas.
+    p's angle_tables are built once here and live for this call."""
     if p.class_mod4 == 3 and (profile is None or h is None):
         raise ValueError(f"p = {p.value} is 3 (mod 4); its float checks need its profile and h")
-    checks = [t_float(p, profile), c_float(p, profile)]
+    squares, reflected = angle_tables(p, profile)
+    checks = [t_float(p, profile, squares), c_float(p, profile, squares)]
     if p.class_mod4 == 3:
-        checks += [whiteman_sum(p, profile), lebesgue_float(p, profile, h=h),
-                   berndt_m_float(p, profile)]
+        checks += [whiteman_sum(p, profile, squares), lebesgue_float(p, squares, reflected, h=h),
+                   berndt_m_float(p, profile, squares, reflected)]
     return checks
 
 

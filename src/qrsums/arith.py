@@ -64,11 +64,12 @@ def _miller_rabin(n: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality test for n < 2^64; n >= 2^64 is a ValueError.
+    """Exact primality test for integers n < 2^64; n >= 2^64 is a ValueError.
 
     Trial division below 10^4, then Miller-Rabin with the fixed witness
     set (2, 3, ..., 37), which is deterministic for all n < 2^64.
     """
+    n = index(n)  # a float or a Fraction is a TypeError, as in OddPrime
     if n < 2:
         return False
     if n >= 1 << 64:  # psi_12 itself passes all twelve bases

@@ -10,6 +10,7 @@ import time
 from qrsums import (
     OddPrime,
     VerifyReport,
+    angle_tables,
     bound_harmonic,
     bound_pv,
     c_exact,
@@ -68,15 +69,17 @@ def test_03_float_suite():
     for p in primes_in_range(3, FLOAT_HI):
         if p.class_mod4 == 3:
             prof = residue_profile(p)
-            tf = t_float(p, prof)
-            cf = c_float(p, prof)
+            squares, _ = angle_tables(p, prof)
+            tf = t_float(p, prof, squares)
+            cf = c_float(p, prof, squares)
             if not (tf.passed and cf.passed):
                 bad.append((p.value, tf.residual, cf.residual))
             if round(tf.computed / p.value) != prof.q_o - prof.q_e:
                 bad.append((p.value, "round mismatch", tf.computed))
         else:
-            tf = t_float(p, None)
-            cf = c_float(p, None)
+            squares, _ = angle_tables(p, None)
+            tf = t_float(p, None, squares)
+            cf = c_float(p, None, squares)
             if not (tf.passed and cf.passed):
                 bad.append((p.value, tf.residual, cf.residual))
     elapsed = time.perf_counter() - started
@@ -117,7 +120,7 @@ def test_05_spot_values():
     for pv in (3, 7, 11, 19, 23):
         p = OddPrime(pv)
         h = h_from_forms(p)
-        expect(f"leb({pv})", round(lebesgue_float(p, prof(pv), h=h).computed), h)
+        expect(f"leb({pv})", round(lebesgue_float(p, *angle_tables(p, prof(pv)), h=h).computed), h)
     ok = not wrong
     assert _verdict(5, "frozen spot values and rounded class numbers", ok, f"{len(wrong)} wrong"), wrong
 

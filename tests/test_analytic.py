@@ -1,12 +1,14 @@
 """Floating-point layer: defining expressions against exact references."""
 
 import math
+import tracemalloc
 
 import pytest
 
 from qrsums import (
     InvariantError,
     OddPrime,
+    angle_tables,
     berndt_m_float,
     bound_harmonic,
     bound_pv,
@@ -121,32 +123,39 @@ def test_bounds_tighter_than_the_old_tolerance():
 # ---- tangent and cotangent sums ------------------------------------------
 
 def at(pv):
-    """The prime and its profile, None at p = 1 (mod 4), as t_float takes them."""
+    """The prime and its profile, None at p = 1 (mod 4), as angle_tables takes them."""
     p = OddPrime(pv)
     return p, residue_profile(p) if p.class_mod4 == 3 else None
 
 
+def with_squares(pv):
+    """The prime, its profile and its squares' angles, as t_float takes them."""
+    p, prof = at(pv)
+    return p, prof, angle_tables(p, prof)[0]
+
+
 def test_t_float_spot():
-    r3 = t_float(*at(3))
+    r3 = t_float(*with_squares(3))
     assert r3.reference == 3 and r3.passed and abs(r3.computed - 3) < 1e-12
-    r7 = t_float(*at(7))
+    r7 = t_float(*with_squares(7))
     assert r7.reference == -7 and r7.passed
-    r5 = t_float(*at(5))
+    r5 = t_float(*with_squares(5))
     assert r5.reference == 0 and r5.passed  # vanishes for p = 1 (mod 4)
 
 
 def test_c_float_spot():
-    assert c_float(*at(3)).reference == 1
-    assert c_float(*at(7)).reference == 7
-    assert c_float(*at(13)).reference == 0
-    assert all(c_float(*at(p)).passed for p in (3, 5, 7, 11, 13, 23))
+    assert c_float(*with_squares(3)).reference == 1
+    assert c_float(*with_squares(7)).reference == 7
+    assert c_float(*with_squares(13)).reference == 0
+    assert all(c_float(*with_squares(p)).passed for p in (3, 5, 7, 11, 13, 23))
 
 
 def test_float_suite_to_2000_both_classes():
     for p in primes_in_range(3, 2000):
         prof = residue_profile(p) if p.class_mod4 == 3 else None
-        tf = t_float(p, prof)
-        cf = c_float(p, prof)
+        squares, _ = angle_tables(p, prof)
+        tf = t_float(p, prof, squares)
+        cf = c_float(p, prof, squares)
         assert tf.passed and cf.passed, p.value
         assert tf.residual <= tf.tolerance == check_bounds(p.value)["tangent_sum"]
         if p.class_mod4 == 3:
@@ -161,8 +170,10 @@ def test_float_checks_names():
     assert [r.name for r in checks] == [
         "tangent_sum", "cotangent_sum", "whiteman_sum", "lebesgue_formula", "berndt_sum",
     ]
-    singly = [t_float(p, prof), c_float(p, prof), whiteman_sum(p, prof),
-              lebesgue_float(p, prof, h=h_from_forms(p)), berndt_m_float(p, prof)]
+    squares, reflected = angle_tables(p, prof)
+    singly = [t_float(p, prof, squares), c_float(p, prof, squares), whiteman_sum(p, prof, squares),
+              lebesgue_float(p, squares, reflected, h=h_from_forms(p)),
+              berndt_m_float(p, prof, squares, reflected)]
     assert checks == singly and all(r.passed for r in checks)
 
 
@@ -201,22 +212,18 @@ def test_each_check_makes_its_own_tan_calls(monkeypatch, pv):
     # the angles are shared, the tan calls are not: one per term per check
     counting = CountingMath()
     monkeypatch.setattr(analytic, "math", counting)
-    p = OddPrime(pv)
-    prof_kw = {"profile": residue_profile(p) if p.class_mod4 == 3 else None}
+    p, prof = at(pv)
+    squares, reflected = angle_tables(p, prof)
     half = (pv - 1) // 2
-    want = [(t_float, prof_kw, half), (c_float, prof_kw, half)]
+    want = [(t_float, (prof, squares), {}, half), (c_float, (prof, squares), {}, half)]
     if p.class_mod4 == 3:
-        want += [(whiteman_sum, prof_kw, pv - 1),
-                 (lebesgue_float, {**prof_kw, "h": h_from_forms(p)}, pv - 1),
-                 (berndt_m_float, prof_kw, pv - 1)]
-    for check, kwargs, calls in want:
+        want += [(whiteman_sum, (prof, squares), {}, pv - 1),
+                 (lebesgue_float, (squares, reflected), {"h": h_from_forms(p)}, pv - 1),
+                 (berndt_m_float, (prof, squares, reflected), {}, pv - 1)]
+    for check, args, kwargs, calls in want:
         counting.tan_calls = 0
-        check(p, **kwargs)
+        check(p, *args, **kwargs)
         assert counting.tan_calls == calls, (pv, check.__name__)
-
-
-def clear_angle_tables():
-    analytic._angle_tables.cache_clear()
 
 
 def ascending(angles):
@@ -231,15 +238,21 @@ def swapped_table(prof, k):
     return bytes(table)
 
 
-def test_angle_tables_built_once_per_prime():
-    clear_angle_tables()
-    p = OddPrime(23)
-    prof = residue_profile(p)
-    float_checks(p, prof, h_from_forms(p))
-    tables = analytic._angle_tables.cache_info()
-    assert (tables.misses, tables.hits) == (1, 4)  # tangent; cotangent, Whiteman, Lebesgue, Berndt
+def test_angle_tables_built_once_per_prime(monkeypatch):
+    built = []
+
+    def counting_tables(p, profile):
+        built.append(p)
+        return angle_tables(p, profile)
+
+    monkeypatch.setattr(analytic, "angle_tables", counting_tables)
+    for pv in (23, 29, 23):
+        built.clear()
+        suite(OddPrime(pv))
+        assert built == [OddPrime(pv)], pv  # one build per call, for all five passes
+    p, prof = at(23)
     # the passes run faster over ascending angles
-    squares, reflected = analytic._angle_tables(23, prof.qr_table)
+    squares, reflected = angle_tables(p, prof)
     assert ascending(squares) and ascending(reflected)
     assert len(squares) == len(reflected) == 11
 
@@ -253,34 +266,45 @@ def test_chi_cot_angles_are_the_unit_angles():
         pv = p.value
         prof = residue_profile(p)
         units = [math.pi * k / pv for k in range(1, pv)]
-        squares, reflected = analytic._angle_tables(pv, prof.qr_table)
+        squares, reflected = angle_tables(p, prof)
         assert ascending(squares) and ascending(reflected), pv
         assert sorted([*squares, *reflected]) == units, pv
         assert list(squares) == [x for k, x in enumerate(units, 1) if prof.chi(k) == 1], pv
         want = math.fsum(prof.chi(k) / math.tan(x) for k, x in enumerate(units, 1))
-        assert analytic._chi_cot_sum(p, prof) == want, pv
+        assert analytic._chi_cot_sum(p, squares, reflected) == want, pv
 
 
-def test_angle_tables_never_stale():
-    def fresh(pv):
-        clear_angle_tables()
-        return suite(OddPrime(pv))
-
-    want = {pv: fresh(pv) for pv in (23, 29, 31)}
+def test_angle_tables_follow_the_table():
+    want = {pv: suite(OddPrime(pv)) for pv in (23, 29, 31)}
     for pv in (23, 29, 23, 31, 23):
         assert suite(OddPrime(pv)) == want[pv], pv
-    # a different table object for the same p gets its own angles, never the
-    # last table's: a copy gets equal ones, a changed table different ones
-    prof = residue_profile(OddPrime(23))
-    real = analytic._angle_tables(23, prof.qr_table)
+    # the angles are read off the table each profile holds: a copy of the
+    # table gets equal ones, a changed table different ones
+    p, prof = at(23)
+    real = angle_tables(p, prof)
     copy = bytes(bytearray(prof.qr_table))
-    assert copy is not prof.qr_table and analytic._angle_tables(23, copy) == real
+    assert copy is not prof.qr_table and angle_tables(p, prof._replace(qr_table=copy)) == real
     swapped = swapped_table(prof, 1)
     assert swapped != prof.qr_table
-    wrong = analytic._angle_tables(23, swapped)
+    wrong = angle_tables(p, prof._replace(qr_table=swapped))
     assert wrong != real and ascending(wrong[0]) and ascending(wrong[1])
-    assert analytic._angle_tables(23, prof.qr_table) == real
-    assert analytic._angle_tables(23, None) != real  # the n-order squares, no reflections
+    assert angle_tables(p, prof) == real
+    assert angle_tables(p, None) != real  # the n-order squares, no reflections
+
+
+def test_float_suite_keeps_no_state():
+    # every float check reads tables that live for one float_checks call: a
+    # call leaves nothing behind for the next prime's to coexist with
+    inputs = [(p, residue_profile(p), h_from_forms(p)) for p in map(OddPrime, (9199, 9203))]
+    tracemalloc.start()
+    try:
+        for p, prof, h in inputs:
+            before = tracemalloc.get_traced_memory()[0]
+            float_checks(p, prof, h)
+            left = tracemalloc.get_traced_memory()[0] - before
+            assert left < 16 * 1024, (p.value, left)
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("pv", [23, 9187])
@@ -293,18 +317,22 @@ def test_float_suite_rejects_a_wrong_residue_table(pv, pick):
     h = h_from_forms(p)
     k = [k for k in range(1, (pv - 1) // 2 + 1) if prof.qr_table[k]][pick]
     bad = prof._replace(qr_table=swapped_table(prof, k))
-    assert lebesgue_float(p, prof, h=h).passed and t_float(p, prof).passed
-    assert not lebesgue_float(p, bad, h=h).passed
-    assert not t_float(p, bad).passed
+    good_squares, good_reflected = angle_tables(p, prof)
+    bad_squares, bad_reflected = angle_tables(p, bad)
+    assert (lebesgue_float(p, good_squares, good_reflected, h=h).passed
+            and t_float(p, prof, good_squares).passed)
+    assert not lebesgue_float(p, bad_squares, bad_reflected, h=h).passed
+    assert not t_float(p, bad, bad_squares).passed
 
 
 def test_whiteman_sum():
-    w3 = whiteman_sum(*at(3))
+    w3 = whiteman_sum(*with_squares(3))
     assert w3.computed == pytest.approx(2 / math.sqrt(3), abs=1e-12)
-    w7 = whiteman_sum(*at(7))
+    w7 = whiteman_sum(*with_squares(7))
     assert w7.computed == pytest.approx(2 * math.sqrt(7), abs=1e-12)
     for p in primes_in_range(3, 1000, mod4=3):
-        r = whiteman_sum(p, residue_profile(p))
+        prof = residue_profile(p)
+        r = whiteman_sum(p, prof, angle_tables(p, prof)[0])
         assert r.passed and r.computed > 0
 
 
@@ -393,7 +421,7 @@ def test_lebesgue_rounds_to_h():
     for pv in (3, 7, 11, 19, 23):
         p = OddPrime(pv)
         h = h_from_forms(p)
-        r = lebesgue_float(p, residue_profile(p), h=h)
+        r = lebesgue_float(p, *angle_tables(p, residue_profile(p)), h=h)
         assert r.passed
         assert round(r.computed) == h == r.reference
 
@@ -407,31 +435,35 @@ def test_lebesgue_takes_the_callers_h(monkeypatch):
         raise AssertionError("forms enumerated twice")
 
     monkeypatch.setattr(analytic, "h_from_forms", never)
-    r = lebesgue_float(p, prof, h=h)
+    tables = angle_tables(p, prof)
+    r = lebesgue_float(p, *tables, h=h)
     assert r.passed and r.reference == h
     assert float_checks(p, prof, h)[3] == r
-    assert not lebesgue_float(p, prof, h=h + 2).passed
+    assert not lebesgue_float(p, *tables, h=h + 2).passed
 
 
 def test_chi_cot_checks_reject_class1():
     # chi(-1) = +1 at p = 1 (mod 4): the squares' reflections are squares too
+    p = OddPrime(13)
+    tables = angle_tables(p, None)  # the squares, and no reflections
     with pytest.raises(ValueError, match=r"p = 13 is 1 \(mod 4\)"):
-        lebesgue_float(OddPrime(13), None, h=1)
+        lebesgue_float(p, *tables, h=1)
     with pytest.raises(ValueError, match=r"p = 13 is 1 \(mod 4\)"):
-        analytic._chi_cot_sum(OddPrime(13), None)  # Berndt's sum, which also needs a profile
+        analytic._chi_cot_sum(p, *tables)  # Berndt's sum
 
 
 def test_berndt_matches_minus_m():
     for pv in (3, 7, 11, 23, 31):
         p, prof = at(pv)
-        r = berndt_m_float(p, prof)
+        r = berndt_m_float(p, prof, *angle_tables(p, prof))
         assert r.passed
         assert r.reference == -prof.m_sum
 
 
 def test_berndt_equals_p_h_beyond_three():
     for p in primes_in_range(5, 500, mod4=3):
-        assert berndt_m_float(p, residue_profile(p)).reference == p.value * h_from_forms(p)
+        prof = residue_profile(p)
+        assert berndt_m_float(p, prof, *angle_tables(p, prof)).reference == p.value * h_from_forms(p)
 
 
 # ---- bounds --------------------------------------------------------------
@@ -468,7 +500,7 @@ def test_angle_reduction_equivalence():
 
 
 def test_check_result_fields():
-    r = t_float(*at(7))
+    r = t_float(*with_squares(7))
     assert r.name == "tangent_sum"
     assert r.residual == abs(r.computed - r.reference)
     assert r.passed == (r.residual <= r.tolerance)

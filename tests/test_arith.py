@@ -26,6 +26,14 @@ def test_is_prime_small():
     assert not is_prime(7917)
 
 
+@pytest.mark.parametrize("bad", [7.5, 8.5, 7.0, Fraction(7), 10007.0],
+                         ids=["7.5", "8.5", "7.0", "Fraction(7)", "10007.0"])
+def test_is_prime_takes_only_integers(bad):
+    # trial division ran its % tests on a float and called 7.5 and 8.5 prime
+    with pytest.raises(TypeError):
+        is_prime(bad)
+
+
 def test_is_prime_strong_pseudoprime():
     # strong pseudoprime to bases 2, 3, 5, 7: must still be rejected
     n = 3_215_031_751

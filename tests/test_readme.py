@@ -1,8 +1,10 @@
-"""The README's command examples, run in-process against their printed output.
+"""The README's examples, run in-process.
 
-Each ```text block that opens with `$ qrsums ...` is one example.  A block
-without a `...` line must match the whole output; in a block with one, the
-lines after `...` must match the end of the output.
+Each ```text block that opens with `$ qrsums ...` is one command example,
+checked against its printed output.  A block without a `...` line must
+match the whole output; in a block with one, the lines after `...` must
+match the end of the output.  Each ```python block runs as written, in a
+fresh namespace, so the documented signatures cannot drift.
 """
 
 import contextlib
@@ -16,11 +18,13 @@ import pytest
 from qrsums import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+TEXT = README.read_text(encoding="utf-8")
 BLOCKS = [
     block.splitlines()
-    for block in re.findall(r"^```text\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
+    for block in re.findall(r"^```text\n(.*?)^```$", TEXT, re.M | re.S)
     if block.startswith("$ qrsums ")
 ]
+PYTHON_BLOCKS = re.findall(r"^```python\n(.*?)^```$", TEXT, re.M | re.S)
 
 
 def test_readme_has_examples():
@@ -39,3 +43,12 @@ def test_readme_example(block):
         assert got[len(got) - len(tail) :] == tail
     else:
         assert got == expected
+
+
+def test_readme_has_python_blocks():
+    assert PYTHON_BLOCKS
+
+
+@pytest.mark.parametrize("code", PYTHON_BLOCKS, ids=lambda code: code.splitlines()[0])
+def test_readme_python_block_runs(code):
+    exec(compile(code, str(README), "exec"), {})

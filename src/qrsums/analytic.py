@@ -9,9 +9,10 @@ Lebesgue's and Berndt's formulas scale one chi-cot sum two ways.
 Angles are always formed from exactly reduced integers: tan(pi n^2 / p) is
 evaluated as tan(pi * m / p) with m = n^2 mod p, never from the unreduced
 product pi * n^2.  float_checks forms each prime's angles once, into the two
-arrays of doubles of angle_tables (about 8 p bytes at p = 3 (mod 4)), hands
-them to each pass and drops them when it returns.  At p = 3 (mod 4) both are
-read off the residue table of p's profile, in ascending order: pi * m / p
+lists of floats of angle_tables (about 32 p bytes at p = 3 (mod 4) and 16 p
+at p = 1 (mod 4)), hands them to each pass and drops them when it returns.
+At p = 3 (mod 4) both are read off the residue table of p's profile, in
+ascending order, from an index counted in floats, exact below 2^53: pi * m / p
 for the residues m, which are the squares n^2 mod p of n in [1, (p-1)/2],
 each once, read by the half-range sums, twice by Whiteman's sum (n and p - n
 square alike) and by the chi-cot sum, which reads pi * k / p for the k whose
@@ -26,8 +27,7 @@ rounding error.
 from __future__ import annotations
 
 import math
-from array import array
-from itertools import chain, compress, repeat
+from itertools import chain, compress, count, repeat
 from operator import itemgetter, truediv
 from typing import NamedTuple
 
@@ -99,24 +99,30 @@ def _approx(name: str, computed: float | complex, reference: float | complex,
     )
 
 
-def angle_tables(p: OddPrime, profile: ResidueProfile | None) -> tuple[array, array]:
+def angle_tables(p: OddPrime, profile: ResidueProfile | None) -> tuple[list[float], list[float]]:
     """pi * m / p for the squares m = n^2 mod p, n <= (p-1)/2, and pi * k / p
     for the k whose reflection p - k is a square: at p = 3 (mod 4) the
     residues and the non-residues, ascending, read off the profile's table;
     with no profile (p = 1 (mod 4)) the squares in n order and no reflections.
-    Arrays: 8 bytes an angle, where a float takes 32.  pi * m / float(p) is
-    pi * m / p to the bit, as p < 2^53."""
+    Lists of floats: 32 bytes an angle, 8 for the pointer and 24 for the
+    float, which no pass then boxes again.  pi * m / float(p) is pi * m / p
+    to the bit, as p < 2^53."""
     pv = p.value
     pi, fp = math.pi, float(pv)
     if profile is None:
-        return array("d", [pi * (n * n % pv) / fp for n in range(1, (pv - 1) // 2 + 1)]), array("d")
-    # ascending: a tan or cot pass then takes 13-31% less time than in n order
-    squares = array("d", [pi * m / fp for m in compress(range(pv), profile.qr_table)])
-    reflected = array("d", [pi * k / fp for k in compress(range(1, pv), profile.qr_table[:0:-1])])
+        return [pi * (n * n % pv) / fp for n in range(1, (pv - 1) // 2 + 1)], []
+    # the index k is a float that counts 0.0, 1.0, ... by adding 1.0: every
+    # integer below 2^53 is a double, so each k is its integer to the bit, and
+    # pi * k the same double as pi times the int, by the float-float multiply
+    # that CPython specialises.  Ascending: a tan or cot pass then takes 13-31%
+    # less time than in n order
+    table = profile.qr_table
+    squares = [pi * m / fp for m in compress(count(0.0, 1.0), table)]
+    reflected = [pi * k / fp for k in compress(count(1.0, 1.0), table[:0:-1])]
     return squares, reflected
 
 
-def t_float(p: OddPrime, profile: ResidueProfile | None, squares: array) -> FloatCheckResult:
+def t_float(p: OddPrime, profile: ResidueProfile | None, squares: list[float]) -> FloatCheckResult:
     """sqrt(p) * sum tan(pi n^2 / p) over n = 1 .. (p-1)/2, any odd prime.
 
     Reference: t_exact(p, profile) for p = 3 (mod 4), and 0 for p = 1 (mod 4)
@@ -128,7 +134,7 @@ def t_float(p: OddPrime, profile: ResidueProfile | None, squares: array) -> Floa
     return _approx("tangent_sum", computed, ref, trig_bound(pv, math.sqrt(pv), False, True))
 
 
-def c_float(p: OddPrime, profile: ResidueProfile | None, squares: array) -> FloatCheckResult:
+def c_float(p: OddPrime, profile: ResidueProfile | None, squares: list[float]) -> FloatCheckResult:
     """sqrt(p) * sum cot(pi n^2 / p) over n = 1 .. (p-1)/2, any odd prime."""
     pv = p.value
     cots = map(truediv, repeat(1.0), map(math.tan, squares))
@@ -137,7 +143,7 @@ def c_float(p: OddPrime, profile: ResidueProfile | None, squares: array) -> Floa
     return _approx("cotangent_sum", computed, ref, trig_bound(pv, math.sqrt(pv), True, True))
 
 
-def whiteman_sum(p: OddPrime, profile: ResidueProfile, squares: array) -> FloatCheckResult:
+def whiteman_sum(p: OddPrime, profile: ResidueProfile, squares: list[float]) -> FloatCheckResult:
     """sum cot(pi n^2 / p) over the full range n = 1 .. p-1, p = 3 (mod 4):
     the squares twice, as n and p - n square alike.
 
@@ -200,7 +206,7 @@ def gauss_sum_checks(p: OddPrime) -> list[FloatCheckResult]:
     return checks
 
 
-def _chi_cot_sum(p: OddPrime, squares: array, reflected: array) -> float:
+def _chi_cot_sum(p: OddPrime, squares: list[float], reflected: list[float]) -> float:
     """sum_{k=1}^{p-1} chi(k) cot(k pi / p) over both angle tables, the sum
     behind Lebesgue's and Berndt's formulas, p = 3 (mod 4): chi(-1) = -1, so
     chi(k) is +1 at the residues k and -1 where the reflection p - k is one."""
@@ -211,7 +217,8 @@ def _chi_cot_sum(p: OddPrime, squares: array, reflected: array) -> float:
     return math.fsum(chain(plus, minus))
 
 
-def lebesgue_float(p: OddPrime, squares: array, reflected: array, *, h: int) -> FloatCheckResult:
+def lebesgue_float(p: OddPrime, squares: list[float], reflected: list[float], *,
+                   h: int) -> FloatCheckResult:
     """Class number by Lebesgue's cotangent formula, against the caller's h.
 
     (w/2) * (1 / (2 sqrt p)) * sum_{k=1}^{p-1} chi(k) cot(k pi / p), where
@@ -226,8 +233,8 @@ def lebesgue_float(p: OddPrime, squares: array, reflected: array, *, h: int) -> 
     return _approx("lebesgue_formula", computed, float(h), tol)
 
 
-def berndt_m_float(p: OddPrime, profile: ResidueProfile, squares: array,
-                   reflected: array) -> FloatCheckResult:
+def berndt_m_float(p: OddPrime, profile: ResidueProfile, squares: list[float],
+                   reflected: list[float]) -> FloatCheckResult:
     """Berndt's cotangent form of the weighted sum M = sum chi(k) k.
 
     (sqrt(p)/2) * sum_{k=1}^{p-1} chi(k) cot(k pi / p) evaluates to -M(p)

@@ -1,5 +1,6 @@
 """Floating-point layer: defining expressions against exact references."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -185,6 +186,20 @@ def test_float_checks_need_profile_and_h_at_class3():
             float_checks(p, *args)
 
 
+# sha256 over "p name computed.hex()" lines, one per float_checks result, for
+# every odd prime below 2000: verify's output prints 12 significant digits,
+# so a change in the last bit of a computed double shows here alone
+FLOAT_SUITE_DOUBLES = "4d6050b7908829bfb5eff179915352632d3741784389dd85f45fb8af3d2ebf8f"
+
+
+def test_float_suite_doubles_pinned():
+    digest = hashlib.sha256()
+    for p in primes_in_range(3, 2000):
+        for r in suite(p):
+            digest.update(f"{p.value} {r.name} {r.computed.hex()}\n".encode())
+    assert digest.hexdigest() == FLOAT_SUITE_DOUBLES
+
+
 def test_float_sums_match_term_by_term_oracle():
     # the passes read shared angle tables in their own order; fsum rounds
     # correctly, so each computed value must be the naive sum to the last bit
@@ -257,6 +272,24 @@ def test_angle_tables_built_once_per_prime(monkeypatch):
     assert len(squares) == len(reflected) == 11
 
 
+def test_angle_tables_are_the_integer_angles():
+    # lists, each angle to the bit pi * m / float(p) from the integer m: at
+    # p = 3 (mod 4) the residues ascending, then the k = p - m ascending; at
+    # p = 1 (mod 4) n^2 mod p in n order, and no reflections
+    for p in [*primes_in_range(3, 3000), *map(OddPrime, (99991, 999983, 1000033))]:
+        pv, fp = p.value, float(p.value)
+        prof = residue_profile(p) if p.class_mod4 == 3 else None
+        squares, reflected = angle_tables(p, prof)
+        assert type(squares) is list and type(reflected) is list, pv
+        ms = [n * n % pv for n in range(1, (pv - 1) // 2 + 1)]
+        ks = []
+        if prof is not None:
+            ms = sorted(ms)
+            ks = sorted(pv - m for m in ms)
+        assert [x.hex() for x in squares] == [(math.pi * m / fp).hex() for m in ms], pv
+        assert [x.hex() for x in reflected] == [(math.pi * k / fp).hex() for k in ks], pv
+
+
 def test_chi_cot_angles_are_the_unit_angles():
     # at p = 3 (mod 4) the residues and the k whose reflection p - k is a
     # residue meet each k in [1, p-1] once, and both tables form pi * k / p
@@ -305,6 +338,24 @@ def test_float_suite_keeps_no_state():
             assert left < 16 * 1024, (p.value, left)
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("pv, bytes_per_p", [(99991, 40), (99989, 20)])
+def test_float_suite_peak_memory(pv, bytes_per_p):
+    # the angle tables are the suite's peak: 32 bytes an angle as a list of
+    # floats, p - 1 angles and a reversed copy of the table at p = 3 (mod 4)
+    # (about 33 p), (p-1)/2 angles at p = 1 (mod 4) (about 16 p); a build
+    # that held all p unit angles at once would peak near 50 p
+    p = OddPrime(pv)
+    args = (p, residue_profile(p), h_from_forms(p)) if p.class_mod4 == 3 else (p,)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        float_checks(*args)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= bytes_per_p * pv, (pv, peak / pv)
 
 
 @pytest.mark.parametrize("pv", [23, 9187])

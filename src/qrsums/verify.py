@@ -1,11 +1,13 @@
 """Range verification: every identity, both exact routes, one report.
 
 For each prime p = 3 (mod 4) in range the full exact invariant suite runs
-(the record checks, then residue statistics, the interval and parity laws,
-the table checks and the strict bounds).  check_record is the one builder
-of a prime's record, its profile, sum record and forms-route h, for verify,
-scan and report alike; its checks need no table: the six T routes, the
-shapes of T and C, both class number routes, and C and T against p*h.
+(the record checks, then residue statistics, the interval law, the gap's
+parity, the table checks and the strict bounds).  check_record is the one
+builder of a prime's record, its profile, sum record and forms-route h, for
+verify, scan and report alike; its checks need no table: the six T routes,
+the shapes of T and C, both class number routes, and C and T against p*h.
+The gap's sign law and its divisibility by 3 are left to the raises in
+c_exact and h_from_residues while the record is built.
 With floats enabled the defining trigonometric expressions are re-evaluated
 in double precision for primes up to a cap, including the vanishing checks
 at p = 1 (mod 4) and the exponential sums for small p.
@@ -126,14 +128,9 @@ def _check_exact(p: OddPrime, rec: VerifyReport) -> tuple[ResidueProfile, int]:
     high = int.from_bytes(table[pv - 1 : half : -1], "little")
     rec.expect_true(pv, "table_negation", not low & high)
 
-    # parity gap and its sign law
+    # parity gap: odd (its sign law and divisibility by 3 are record raises)
     gap = prof.q_o - prof.q_e
     rec.expect_true(pv, "gap_odd", gap % 2 == 1, gap)
-    rec.expect_true(
-        pv, "gap_sign", (gap > 0) == (p.class_mod8 == 3), (gap, p.class_mod8)
-    )
-    if p.class_mod8 == 3 and pv > 3:
-        rec.expect(pv, "gap_divisible_3", 0, gap % 3)
 
     # signed sums
     rec.expect_true(pv, "half_sum_positive", prof.half_sum > 0, prof.half_sum)

@@ -302,7 +302,7 @@ def test_report_class1_exact_bytes(capsys):
 
 @pytest.mark.parametrize("argv, digest", [
     (("verify", "--from", "9000", "--to", "10000", "--float"),
-     "19738c4b31cdbe40682dffc0b438e0966bdd0b79bfb21c0b9c04156266244a25"),
+     "a24b5d521149518bd322aa253aa475a17197e507492751850a915b6d65d6bb53"),
     (("report", "99991", "--float", "--json"),
      "067606803313bedd15d301db84a9adcd2f073301fd07994ec4946acad68b28b5"),
     (("report", "9187", "--float", "--json"),
@@ -371,7 +371,7 @@ def test_verify_empty_range(capsys):
 def test_verify_float(capsys):
     assert run_cli("verify", "--from", "3", "--to", "500", "--float") == 0
     out = capsys.readouterr().out
-    assert summary_line("checks_run", 13642) in out  # includes every Gauss sum up to 499
+    assert summary_line("checks_run", 13568) in out  # includes every Gauss sum up to 499
     assert summary_line("result", "PASS") in out
 
 
@@ -561,17 +561,37 @@ def test_imprimitive_form_exits_internal(monkeypatch, capsys):
     )
 
 
-def test_doctored_profile_exits_internal(monkeypatch, capsys):
+# (prime, profile count, change, message): a residue gap that breaks its sign
+# law (positive exactly at p = 3 (mod 8)) or, at p = 3 (mod 8), its
+# divisibility by 3 is caught by the raises in c_exact and h_from_residues
+DOCTORED_GAPS = [
     # q_o one too high at p = 11 leaves T(p) = 44, which 3 does not divide
-    def doctored(p):
-        prof = residue_profile(p)
-        return prof._replace(q_o=prof.q_o + 1)
+    (11, "q_o", 1, "T(p) = 44 not divisible by 3 at p=11"),
+    # gap 3 - 6 = -3: divisible by 3, but negative at a 3 (mod 8) prime
+    (19, "q_e", 6, "nonpositive class number -1 at p=19"),
+    # gap -3 + 20 = 17: positive at a 7 (mod 8) prime
+    (23, "q_o", 20, "nonpositive class number -17 at p=23"),
+    # gap 3 + 2 = 5: positive, but 3 does not divide it
+    (19, "q_o", 2, "T(p) = 95 not divisible by 3 at p=19"),
+]
 
-    monkeypatch.setattr(verify_mod, "residue_profile", doctored)
-    assert run_cli("verify", "--from", "11", "--to", "11") == 2
-    assert capsys.readouterr().err == (
-        "qrsums: internal invariant violation: T(p) = 44 not divisible by 3 at p=11\n"
-    )
+
+def test_doctored_profile_exits_internal(monkeypatch, capsys):
+    for pv, field, delta, message in DOCTORED_GAPS:
+        def doctored(p, field=field, delta=delta):
+            prof = residue_profile(p)
+            return prof._replace(**{field: getattr(prof, field) + delta})
+
+        monkeypatch.setattr(verify_mod, "residue_profile", doctored)
+        for argv in (
+            ("verify", "--from", str(pv), "--to", str(pv)),
+            ("report", str(pv)),
+            ("scan", "--from", str(pv), "--to", str(pv), "--jobs", "1"),
+        ):
+            assert run_cli(*argv) == 2, argv
+            assert capsys.readouterr() == (
+                "", f"qrsums: internal invariant violation: {message}\n"
+            ), argv
 
 
 def test_internal_error_in_scan_worker(monkeypatch, capsys):

@@ -37,7 +37,7 @@ PINNED = {
         "residues.calls_per_prime": 1.0,
         "sums.calls_per_prime": 7.0,
         "classnum.calls_per_prime": 1.0,
-        "verify.checks_run": 438,
+        "verify.checks_run": 422,
     },
     "verify-exact": {
         "classnum.b_tried": 156096,
@@ -45,7 +45,7 @@ PINNED = {
         "residues.calls_per_prime": 1.0,
         "sums.calls_per_prime": 4.0,
         "classnum.calls_per_prime": 1.0,
-        "verify.checks_run": 517,
+        "verify.checks_run": 492,
     },
 }
 

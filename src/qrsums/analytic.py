@@ -11,17 +11,17 @@ evaluated as tan(pi * m / p) with m = n^2 mod p, never from the unreduced
 product pi * n^2.  float_checks forms each prime's angles once, into the two
 lists of floats of angle_tables (about 32 p bytes at p = 3 (mod 4) and 16 p
 at p = 1 (mod 4)), hands them to each pass and drops them when it returns.
-At p = 3 (mod 4) both are read off the residue table of p's profile, in
-ascending order, from an index counted in floats, exact below 2^53: pi * m / p
-for the residues m, which are the squares n^2 mod p of n in [1, (p-1)/2],
-each once, read by the half-range sums, twice by Whiteman's sum (n and p - n
-square alike) and by the chi-cot sum, which reads pi * k / p for the k whose
-reflection p - k is a residue next (chi(k) = -1 there).  At p = 1 (mod 4)
-there is no table, and only the squares are formed, in n order.  Each pass
-still evaluates its own tan (or cot, as 1/tan) per term.  Every sum is
-math.fsum, so it is correctly rounded whatever order the terms come in, and
-each trigonometric check is held to trig_bound, an a-priori bound on its own
-rounding error.
+At p = 3 (mod 4) both are read off the residue table of p's profile over
+[1, p-1], ascending, from an index counted in floats from 1, exact below
+2^53: pi * m / p for the residues m, which are the squares n^2 mod p of n in
+[1, (p-1)/2], each once, read by the half-range sums, twice by Whiteman's
+sum (n and p - n square alike) and by the chi-cot sum, which reads pi * k / p
+for the k whose reflection p - k is a residue next (chi(k) = -1 there).  At
+p = 1 (mod 4) there is no table, and only the squares are formed, in n
+order.  Each pass still evaluates its own tan (or cot, as 1/tan) per term.
+Every sum is math.fsum, so it is correctly rounded whatever order the terms
+come in, and each trigonometric check is held to trig_bound, an a-priori
+bound on its own rounding error.
 """
 
 from __future__ import annotations
@@ -102,8 +102,8 @@ def _approx(name: str, computed: float | complex, reference: float | complex,
 def angle_tables(p: OddPrime, profile: ResidueProfile | None) -> tuple[list[float], list[float]]:
     """pi * m / p for the squares m = n^2 mod p, n <= (p-1)/2, and pi * k / p
     for the k whose reflection p - k is a square: at p = 3 (mod 4) the
-    residues and the non-residues, ascending, read off the profile's table;
-    with no profile (p = 1 (mod 4)) the squares in n order and no reflections.
+    residues and the non-residues, ascending, read off the profile's table
+    from index 1; with no profile (p = 1 (mod 4)) the squares alone, in n order.
     Lists of floats: 32 bytes an angle, 8 for the pointer and 24 for the
     float, which no pass then boxes again.  pi * m / float(p) is pi * m / p
     to the bit, as p < 2^53."""
@@ -111,13 +111,13 @@ def angle_tables(p: OddPrime, profile: ResidueProfile | None) -> tuple[list[floa
     pi, fp = math.pi, float(pv)
     if profile is None:
         return [pi * (n * n % pv) / fp for n in range(1, (pv - 1) // 2 + 1)], []
-    # the index k is a float that counts 0.0, 1.0, ... by adding 1.0: every
+    # the index k is a float that counts 1.0, 2.0, ... by adding 1.0: every
     # integer below 2^53 is a double, so each k is its integer to the bit, and
     # pi * k the same double as pi times the int, by the float-float multiply
     # that CPython specialises.  Ascending: a tan or cot pass then takes 13-31%
     # less time than in n order
     table = profile.qr_table
-    squares = [pi * m / fp for m in compress(count(0.0, 1.0), table)]
+    squares = [pi * m / fp for m in compress(count(1.0, 1.0), table[1:])]
     reflected = [pi * k / fp for k in compress(count(1.0, 1.0), table[:0:-1])]
     return squares, reflected
 

@@ -33,7 +33,7 @@ class ResidueProfile(NamedTuple):
     """All residue statistics of one prime p = 3 (mod 4).
 
     qr_table has length p and is indexed by k in [1, p-1]; entry 1 means k
-    is a quadratic residue mod p (index 0 is unused and always 0).
+    is a quadratic residue mod p; byte 0 is 0, read by table_count alone.
     """
 
     p: OddPrime

@@ -31,8 +31,8 @@ def t_exact(p: OddPrime, prof: ResidueProfile) -> int:
 def t_expressions(p: OddPrime, prof: ResidueProfile) -> tuple[int, int, int, int, int]:
     """Five independent Legendre-sum routes to T(p), in a fixed order.
 
-    1. (p/2) * sum_{k=1}^{p-1} (-1)^(k+1) chi(k); the sum is always even
-       and that is asserted before halving.
+    1. (p/2) * sum_{k=1}^{p-1} (-1)^(k+1) chi(k), halved exactly: (p-1)/2
+       odd and (p-1)/2 even k make it 2 * (odd residues - even residues).
     2. p * sum_{k=1}^{(p-1)/2} (-1)^(k+1) chi(k)
     3. p * a_sum  (odd-index chi sum; the published form says 2p * a_sum)
     4. -p * chi(2) * sum_{k=1}^{(p-1)/2} chi(k)
@@ -44,8 +44,6 @@ def t_expressions(p: OddPrime, prof: ResidueProfile) -> tuple[int, int, int, int
     half = (pv - 1) // 2
 
     alt_full = chi_sum(table, 1, pv, 2) - chi_sum(table, 2, pv, 2)
-    if alt_full % 2:
-        raise InvariantError(f"alternating chi sum over [1, p-1] is odd at p={pv}")
     t1 = pv * (alt_full // 2)
 
     alt_half = chi_sum(table, 1, half + 1, 2) - chi_sum(table, 2, half + 1, 2)

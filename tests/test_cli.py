@@ -594,6 +594,28 @@ def test_doctored_profile_exits_internal(monkeypatch, capsys):
             ), argv
 
 
+def test_set_byte_0_is_a_table_count_failure(monkeypatch, capsys):
+    # byte 0 stands for k = 0, where cot is undefined; the float suite never
+    # reads it, so a set byte 0 is one failed check, not a division by zero
+    assert run_cli("report", "23", "--float") == 0
+    clean = capsys.readouterr()
+
+    def byte_0_set(p):
+        prof = residue_profile(p)
+        return prof._replace(qr_table=b"\x01" + prof.qr_table[1:])
+
+    monkeypatch.setattr(verify_mod, "residue_profile", byte_0_set)
+    assert run_cli("verify", "--from", "23", "--to", "23", "--float") == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert summary_line("failures", 1) in out.splitlines()
+    failures = [line for line in out.splitlines() if line.startswith("  p=")]
+    assert failures == ["  p=23 table_count: expected 11, got 12"]
+    # report runs the record checks and the float suite, and neither reads byte 0
+    assert run_cli("report", "23", "--float") == 0
+    assert capsys.readouterr() == clean
+
+
 def test_internal_error_in_scan_worker(monkeypatch, capsys):
     # workers fork from this process, so they inherit the patched h_from_forms
     if multiprocessing.get_start_method() != "fork":

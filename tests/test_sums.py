@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrsums import (
     ERRATA,
@@ -18,6 +20,7 @@ from qrsums import (
     t_expressions,
     t_from_m,
 )
+from qrsums.residues import chi_sum
 
 from oracles import LARGE_SAMPLE, t_value
 
@@ -81,6 +84,28 @@ def test_all_routes_agree_small():
         assert t == t_value(p.value)  # oracle route
         assert all(e == t for e in t_expressions(p, prof))
         assert t_from_m(p, prof) == t
+
+
+PARITY = bytes(i & 1 for i in range(256))
+
+
+def zero_one_tables(n):
+    """0/1 tables of length n, byte 0 included: random bytes kept mod 2."""
+    return st.binary(min_size=n, max_size=n).map(lambda b: b.translate(PARITY))
+
+
+@given(st.sampled_from(primes_in_range(3, 1000, mod4=3)), st.data())
+@settings(max_examples=300)
+def test_route_1_halves_exactly_for_any_table(p, data):
+    # odd and even k in [1, p-1] number (p-1)/2 each, so the alternating sum
+    # is 2 * (odd ones - even ones) whatever the table holds: route 1 halves
+    # it with no parity check to raise
+    pv = p.value
+    table = data.draw(zero_one_tables(pv))
+    odd, even = sum(table[1::2]), sum(table[2::2])
+    assert chi_sum(table, 1, pv, 2) - chi_sum(table, 2, pv, 2) == 2 * (odd - even)
+    prof = residue_profile(p)._replace(qr_table=table)
+    assert t_expressions(p, prof)[0] == pv * (odd - even)
 
 
 @pytest.mark.parametrize("pv", LARGE_SAMPLE)

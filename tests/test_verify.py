@@ -197,6 +197,14 @@ def test_float_suite_sees_a_swapped_residue(monkeypatch, pv, pick):
     assert {"lebesgue_formula", "tangent_sum"} <= failed
 
 
+@pytest.mark.parametrize("pv", (23, 9187))
+def test_set_byte_0_fails_table_count_alone(monkeypatch, pv):
+    # byte 0 stands for k = 0, where cot is undefined: only table_count reads
+    # it, and the float suite's angles start at k = 1
+    failed = failed_checks(monkeypatch, pv, table_fault(flip(0)), with_float=True)
+    assert failed == {"table_count"}
+
+
 # ---- every check name can fire -------------------------------------------
 #
 # One row (check name, prime, fault) per name that run_verify can emit.  A

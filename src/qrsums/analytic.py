@@ -27,7 +27,7 @@ bound on its own rounding error.
 from __future__ import annotations
 
 import math
-from itertools import chain, compress, count, repeat
+from itertools import accumulate, chain, compress, count, repeat
 from operator import itemgetter, truediv
 from typing import NamedTuple
 
@@ -170,15 +170,12 @@ def gauss_sum_checks(p: OddPrime) -> list[FloatCheckResult]:
     every k in [1, p-1], each against its exact value i * (k|p) * sqrt(p).
 
     p must be 3 (mod 4) and below 2^GAUSS_P_BITS (the work is p(p-1) terms).
-    k walks the powers of the least primitive root g of p.  The (cos, sin)
-    root of every m mod p is tabled once; each k reads its terms from a head,
-    the (p+1)/2-tuple whose entry j is the root of j^2 k mod p, j in
-    [0, (p-1)/2], the pair j, p - j sharing one.  Two heads alternate, one
-    walking the residues from k = 1 and one the non-residues from k = g.
-    The heads of k and k g^2 differ by j -> j g, folded into [0, (p-1)/2]
-    since (p - m)^2 = m^2, so one fixed gather of (p+1)/2 entries steps
-    either head.  All p terms of each k are then summed, and the results
-    are listed by k.
+    The (cos, sin) root of every m mod p is tabled once and re-read in the
+    order of the powers g^e of the least primitive root g of p.  With
+    k = g^e and j = g^t, j^2 k = g^(e+2t), so k's terms are j = 0 and the
+    stride-2 slice from e of that log-ordered table, t < (p-1)/2, taken
+    twice: g^t and g^(t+(p-1)/2) = -g^t square alike.  All p terms of each k
+    are summed, and the results are listed by k.
     """
     pv = p.value
     if p.class_mod4 != 3:
@@ -188,21 +185,18 @@ def gauss_sum_checks(p: OddPrime) -> list[FloatCheckResult]:
     tau = 2.0 * math.pi / pv
     table = [(math.cos(tau * m), math.sin(tau * m)) for m in range(pv)]
     g = primitive_root(p)
-    half = range((pv + 1) // 2)
-    step = itemgetter(*[min(j * g % pv, pv - j * g % pv) for j in half])
-    head = itemgetter(*[j * j % pv for j in half])(table)  # k = 1
-    ahead = itemgetter(*[j * j * g % pv for j in half])(table)  # k = g
+    powers = list(accumulate(repeat(g, pv - 2), lambda x, y: x * y % pv, initial=1))
+    logs = itemgetter(*powers)(table) * 2  # doubled, so a slice can wrap
     root_p = math.sqrt(pv)
     tol = gauss_tolerance(pv)
     checks: list[FloatCheckResult | None] = [None] * (pv - 1)
-    k = 1
-    for _ in range(pv - 1):
+    for e, k in enumerate(powers):
         if checks[k - 1] is not None:
             raise InvariantError(f"powers of {g} mod {pv} repeat k = {k} before covering [1, p-1]")
+        head = (table[0],) + logs[e : e + pv - 1 : 2]
         computed = _compensated_complex(head + head[1:])
         ref = complex(0.0, legendre(k, p) * root_p)
         checks[k - 1] = _approx(f"gauss_sum(k={k})", computed, ref, tol)
-        head, ahead, k = ahead, step(head), k * g % pv
     return checks
 
 

@@ -444,7 +444,9 @@ def test_gauss_matches_term_by_term_oracle():
 
 def test_gauss_each_k_sums_its_own_terms(monkeypatch):
     # every k of one chi class sums the same multiset of terms, so fsum gives
-    # them one double and the oracle above cannot see a head that never steps
+    # them one double and the oracle above cannot see a slice read from the
+    # wrong offset.  Call e (k = g^e) reads j = 0, then j = g^t for
+    # t < (p-1)/2 twice over, and its terms are the definition's j-order ones
     calls = []
     summed = analytic._compensated_complex
 
@@ -459,11 +461,14 @@ def test_gauss_each_k_sums_its_own_terms(monkeypatch):
         gauss_sum_checks(p)
         g = primitive_root(p)
         assert len(calls) == pv - 1, pv
-        for i, terms in enumerate(calls):
-            k = pow(g, i, pv)
-            squares = [j * j * k % pv for j in range((pv + 1) // 2)]
-            head = [(math.cos(tau * m), math.sin(tau * m)) for m in squares]
-            assert list(terms) == head + head[1:], (pv, k)
+        roots = [(math.cos(tau * m), math.sin(tau * m)) for m in range(pv)]
+        even_powers = [pow(g, 2 * t, pv) for t in range((pv - 1) // 2)]
+        for e, terms in enumerate(calls):
+            k = pow(g, e, pv)
+            s = [roots[k * x % pv] for x in even_powers]  # g^(e + 2t)
+            assert list(terms) == [(1.0, 0.0)] + s + s, (pv, k)
+            defined = [roots[j * j * k % pv] for j in range(pv)]
+            assert sorted(terms) == sorted(defined), (pv, k)
 
 
 # ---- class number formulas -----------------------------------------------

@@ -30,6 +30,7 @@ from .sums import (
 )
 from .classnum import (
     ReducedForm,
+    class_numbers,
     h_from_forms,
     h_from_residues,
     reduced_forms,
@@ -71,6 +72,7 @@ __all__ = [
     "bound_pv",
     "c_exact",
     "c_float",
+    "class_numbers",
     "compute_row",
     "confirm_errata",
     "gauss_sum_checks",

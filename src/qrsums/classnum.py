@@ -5,7 +5,9 @@ c y^2 of discriminant b^2 - 4ac = -p represents one ideal class, so h(-p)
 is the number of such forms.  Reduction means |b| <= a <= c with b >= 0
 whenever |b| = a or a = c, and primitivity gcd(a, b, c) = 1 is automatic
 for prime discriminant.  The enumeration loop applies these rules and
-asserts primitivity; ReducedForm is a plain (a, b, c) triple.
+asserts primitivity; ReducedForm is a plain (a, b, c) triple.  The same
+rules, read the other way round, tally the forms of every discriminant in
+a range at once: class_numbers.
 
 The independent second route counts quadratic residues:
 
@@ -19,7 +21,9 @@ factor: h(-3) = 1, not (q_o - q_e)/3.
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import gcd, isqrt
+from operator import add
 from typing import NamedTuple
 
 from .arith import InvariantError, OddPrime
@@ -85,6 +89,34 @@ def reduced_forms(p: OddPrime) -> list[ReducedForm]:
 def h_from_forms(p: OddPrime) -> int:
     """h(-p) as the count of reduced forms.  Odd and positive."""
     return len(reduced_forms(p))
+
+
+def class_numbers(lo: int, hi: int) -> list[int]:
+    """h(-D) for every D = 3 (mod 4) in [lo, hi], from one tally of reduced forms.
+
+    Entry i counts the reduced forms of discriminant -D at D = lo3 + 4i,
+    where lo3 is the least D = 3 (mod 4) at or above lo; at a prime D that
+    count is h(-D).  For each a up to isqrt(hi // 3) and each odd b in
+    (-a, a], D = 4ac - b^2 steps through [lo, hi] by 4a as c runs from a
+    (from a + 1 when b < 0, since a = c needs b >= 0), so entry i steps by a.
+    b and -b share that progression, and one slice update adds both.  The
+    tally reads no residue table, no legendre and no form list.
+    """
+    lo3 = lo + (3 - lo) % 4
+    counts = [0] * len(range(lo3, hi + 1, 4))
+    n = len(counts)
+    for a in range(1, isqrt(hi // 3) + 1):
+        for b in range(1, a + 1, 2):
+            d = 4 * a * a - b * b  # c = a: (a, b, a) alone
+            if lo3 <= d <= hi:
+                counts[(d - lo3) >> 2] += 1
+            # c > a: (a, b, c), and (a, -b, c) unless b = a; i from c = a + 1
+            i = (d + 4 * a - lo3) >> 2
+            if i < 0:
+                i %= a
+            if i < n:
+                counts[i::a] = map(add, counts[i::a], repeat(1 if b == a else 2))
+    return counts
 
 
 def half_units(p: OddPrime) -> int:

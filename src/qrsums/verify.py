@@ -2,10 +2,13 @@
 
 For each prime p = 3 (mod 4) in range the full exact invariant suite runs
 (the record checks, then residue statistics, the interval law, the gap's
-parity, the table checks and the strict bounds).  check_record is the one
-builder of a prime's record, its profile, sum record and forms-route h, for
-verify, scan and report alike; its checks need no table: the six T routes,
-the shapes of T and C, both class number routes, and C and T against p*h.
+parity, the table checks and the strict bounds).  check_record alone
+builds a prime's record, its profile, sum record and h, for verify, scan
+and report alike.  It takes h from its caller, after the profile and
+the sum record: verify and report count p's reduced forms, scan reads a
+class_numbers tally of its window.  Its checks need no table: the six T
+routes, the shapes of T and C, h against the residue route, and C and T
+against p*h.
 The gap's sign law and its divisibility by 3 are left to the raises in
 c_exact and h_from_residues while the record is built.
 With floats enabled the defining trigonometric expressions are re-evaluated
@@ -19,7 +22,7 @@ p = 7 (mod 8) branch misprint can only show itself at p = 7 of the two.
 
 from __future__ import annotations
 
-from typing import Any, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 from . import analytic
 from .arith import OddPrime, primes_in_range
@@ -77,12 +80,15 @@ class VerifyReport:
             self.failures.append(Failure(p, check, "holds", detail))
 
 
-def check_record(p: OddPrime, rec: VerifyReport) -> tuple[ResidueProfile, SumRecord, int]:
-    """Build, check into rec and return p's profile, sum record and forms-route
-    h: T by its six routes and shape, C's shape, h by both routes, C and T by h."""
+def check_record(
+    p: OddPrime, rec: VerifyReport, h_of: Callable[[OddPrime], int]
+) -> tuple[ResidueProfile, SumRecord, int]:
+    """Build, check into rec and return p's profile, sum record and h, the
+    last from h_of once the other two exist: T by its six routes and shape,
+    C's shape, h against the residue route, C and T by h."""
     prof = residue_profile(p)
     sums = sum_record(p, prof)
-    h = h_from_forms(p)
+    h = h_of(p)
     pv, t, c = p.value, sums.t_value, sums.c_value
     # six routes to T
     rec.expect(pv, "t_route_alternating_full", t, sums.t_expr[0])
@@ -114,7 +120,7 @@ def check_record(p: OddPrime, rec: VerifyReport) -> tuple[ResidueProfile, SumRec
 
 def _check_exact(p: OddPrime, rec: VerifyReport) -> tuple[ResidueProfile, int]:
     """Run the exact suite; return the profile and forms-route h it checked."""
-    prof, _, h = check_record(p, rec)
+    prof, _, h = check_record(p, rec, h_from_forms)
     pv = p.value
     half = (pv - 1) // 2
 

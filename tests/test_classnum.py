@@ -8,15 +8,17 @@ from qrsums import (
     InvariantError,
     OddPrime,
     c_exact,
+    class_numbers,
     h_from_forms,
     h_from_residues,
     primes_in_range,
     reduced_forms,
     residue_profile,
 )
-from qrsums import classnum
+from qrsums import arith, classnum, residues
 from qrsums.classnum import half_units
 
+from guards import never
 from oracles import LARGE_SAMPLE, reduced_forms_bruteforce
 
 # classical class numbers of discriminant -p
@@ -120,6 +122,62 @@ def test_h_at_three_carries_unit_factor():
     assert h_from_forms(OddPrime(3)) == 1
     assert half_units(OddPrime(3)) == 3
     assert all(half_units(p) == 1 for p in primes_in_range(5, 200, mod4=3))
+
+
+# ---- the range tally --------------------------------------------------
+
+def tallied(lo, hi):
+    """class_numbers(lo, hi) keyed by the prime D = 3 (mod 4) it is read at."""
+    counts = class_numbers(lo, hi)
+    lo3 = lo + (3 - lo) % 4
+    return {p.value: counts[(p.value - lo3) // 4] for p in primes_in_range(max(lo, 3), hi, mod4=3)}
+
+
+def forms_h(lo, hi):
+    return {p.value: h_from_forms(p) for p in primes_in_range(max(lo, 3), hi, mod4=3)}
+
+
+def test_tally_equals_forms_to_20000():
+    assert len(class_numbers(3, 20000)) == len(range(3, 20001, 4))
+    assert tallied(3, 20000) == forms_h(3, 20000)
+
+
+@pytest.mark.parametrize("lo", [4, 5, 6, 1001, 60000])
+def test_tally_from_any_lo(lo):
+    # entry 0 is the first D = 3 (mod 4) at or above lo
+    hi = lo + 1000
+    assert tallied(lo, hi) == forms_h(lo, hi)
+
+
+@pytest.mark.parametrize("pv", [3, 7, 11, 23, 1019, 4051, 65003, *LARGE_SAMPLE[-2:]])
+def test_tally_of_one_prime(pv):
+    assert class_numbers(pv, pv) == [h_from_forms(OddPrime(pv))]
+
+
+def test_tally_of_an_empty_window():
+    # no D = 3 (mod 4) in [8, 10], and none at all below 3
+    assert class_numbers(8, 10) == []
+    assert class_numbers(3, 2) == []
+
+
+def test_tally_across_a_window_edge():
+    # scan cuts its windows at 2^20 integers; a band across 2^20, and either side
+    edge = 1 << 20
+    lo, hi = edge - 400, edge + 400
+    assert tallied(lo, hi) == forms_h(lo, hi)
+    assert tallied(lo, edge - 1) == forms_h(lo, edge - 1)
+    assert tallied(edge, hi) == forms_h(edge, hi)
+
+
+def test_tally_reads_no_table_legendre_or_forms(monkeypatch):
+    # an independent route to h: none of the other routes' sources is read
+    want = forms_h(3, 3000)
+    for module, name in [
+        (classnum, "residue_profile"), (residues, "residue_profile"), (arith, "legendre"),
+        (classnum, "reduced_forms"), (classnum, "_forms_with_leading"),
+    ]:
+        monkeypatch.setattr(module, name, never)
+    assert tallied(3, 3000) == want
 
 
 # the exact routes' proof-level guards, reached through a doctored profile

@@ -118,8 +118,34 @@ def test_scan_jobs_clamped(monkeypatch, jobs, cpus, hi, workers):
     # InlinePool runs the worker set-up in this process; undo it after
     monkeypatch.setattr(scan_mod, "_stop", None)
     monkeypatch.setattr(scan_mod.os, "cpu_count", lambda: cpus)
-    assert list(scan_rows(3, hi, jobs=jobs)) == [compute_row(p) for p in primes_in_range(3, hi, mod4=3)]
+    tallied = []
+    tally = scan_mod.class_numbers
+
+    def recorded(lo, hi):
+        tallied.append((lo, hi))
+        return tally(lo, hi)
+
+    monkeypatch.setattr(scan_mod, "class_numbers", recorded)
+    primes = primes_in_range(3, hi, mod4=3)
+    # the scan's h comes from its windows' tallies, compute_row's from p's forms
+    assert list(scan_rows(3, hi, jobs=jobs)) == [compute_row(p) for p in primes]
     assert seen == workers
+    # consecutive windows, one tally each, two or more wherever two primes are
+    assert tallied[0][0] == 3 and tallied[-1][1] == primes[-1].value
+    assert all(prev[1] < nxt[0] for prev, nxt in zip(tallied, tallied[1:]))
+    assert len(tallied) >= min(len(primes), 2)
+
+
+def test_scan_windows_span_at_most_2_to_20():
+    # windows of consecutive primes, at most size long, each within 2^20
+    # integers, so no tally holds more than 2^18 counts
+    primes = [p for lo in (3, (1 << 20) - 40, (2 << 20) + 3, (3 << 20) - 10)
+              for p in primes_in_range(lo, lo + 200, mod4=3)]
+    windows = scan_mod._windows(primes, 5)
+    assert [p for w in windows for p in w] == primes
+    assert all(len(w) <= 5 and w[-1].value - w[0].value < 1 << 20 for w in windows)
+    assert all(len(w) == 5 or nxt[0].value - w[0].value >= 1 << 20 for w, nxt in zip(windows, windows[1:]))
+    assert scan_mod._windows([], 1) == []
 
 
 def test_scan_csv_exact_bytes(capsys):
@@ -160,6 +186,45 @@ def test_scan_deterministic_across_jobs(tmp_path):
     assert b"\r" not in one.read_bytes()  # LF only
 
 
+# digests of the rows before scan took h from its windows' tallies: 3..8200
+# holds every bench scan band, and 65000..66100 rows with larger a and h
+SCAN_DIGESTS = {
+    ("3", "8200"): "1aba0c4cad18069b531c923e9bc92f5c2f1287c00931de2c977ba93f874c223e",
+    ("65000", "66100"): "726c97ba4e52cd007aa625f88d7a99e862e835eaa2026593a0324c1989bbe0ca",
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("lo, hi", SCAN_DIGESTS)
+def test_scan_output_pinned(monkeypatch, capsys, lo, hi, jobs):
+    monkeypatch.setattr(scan_mod.os, "cpu_count", lambda: 2)  # keep 2 workers on 1 core
+    assert run_cli("scan", "--from", lo, "--to", hi, "--jobs", jobs) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SCAN_DIGESTS[lo, hi]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_scan_h_held_to_the_residue_route(monkeypatch, capsys, jobs):
+    # a tally off by 2 at one prime is caught by that prime's record check
+    if jobs == "2" and multiprocessing.get_start_method() != "fork":
+        pytest.skip("needs fork-started workers to inherit the patch")
+    tally = scan_mod.class_numbers
+
+    def off_at_1019(lo, hi):
+        counts = tally(lo, hi)
+        if lo <= 1019 <= hi:
+            counts[(1019 - lo) >> 2] += 2
+        return counts
+
+    monkeypatch.setattr(scan_mod, "class_numbers", off_at_1019)
+    monkeypatch.setattr(scan_mod.os, "cpu_count", lambda: 2)  # keep 2 workers on 1 core
+    h = classnum.h_from_forms(OddPrime(1019))
+    assert run_cli("scan", "--from", "3", "--to", "2000", "--jobs", jobs) == 2
+    out, err = capsys.readouterr()
+    assert err == f"qrsums: internal invariant violation: h_routes_agree: expected {h + 2}, got {h} at p=1019\n"
+    assert out.startswith(CSV_HEADER + "\n") and "\n1019," not in out
+    assert multiprocessing.active_children() == []
+
+
 def test_scan_unwritable_out(capsys):
     assert run_cli("scan", "--from", "3", "--to", "12", "--out", "/nonexistent/dir/x.csv") == 1
 
@@ -192,18 +257,18 @@ def test_scan_pool_that_cannot_start(monkeypatch, capsys, tmp_path, to_file):
 def test_scan_failing_midway_leaves_out_as_it_was(monkeypatch, capsys, tmp_path, jobs):
     # the rows below p = 4051 are written, then one fails: an --out PATH keeps
     # its old bytes, or is not created, and no temporary file is left.  With
-    # 2 workers, 4051 opens the third of eight chunks of 142 primes: chunks
+    # 2 workers, 4051 opens the third of eight windows of 142 primes: windows
     # this long keep a worker computing, not sending, when the pool ends
     if jobs == "2" and multiprocessing.get_start_method() != "fork":
         pytest.skip("needs fork-started workers to inherit the patch")
-    h_from_forms = verify_mod.h_from_forms
+    real_profile = verify_mod.residue_profile
 
     def fail_at_4051(p):
         if p.value == 4051:
             raise InvariantError("forced at p = 4051")
-        return h_from_forms(p)
+        return real_profile(p)
 
-    monkeypatch.setattr(verify_mod, "h_from_forms", fail_at_4051)
+    monkeypatch.setattr(verify_mod, "residue_profile", fail_at_4051)
     monkeypatch.setattr(scan_mod.os, "cpu_count", lambda: 2)  # keep 2 workers on 1 core
     existing = tmp_path / "existing.csv"
     existing.write_text("old,content\n")
@@ -617,7 +682,7 @@ def test_set_byte_0_is_a_table_count_failure(monkeypatch, capsys):
 
 
 def test_internal_error_in_scan_worker(monkeypatch, capsys):
-    # workers fork from this process, so they inherit the patched h_from_forms
+    # workers fork from this process, so they inherit the patched residue_profile
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("needs fork-started workers to inherit the patch")
     parent = os.getpid()
@@ -625,7 +690,7 @@ def test_internal_error_in_scan_worker(monkeypatch, capsys):
     def boom(p):
         raise InvariantError(f"forced in pid {os.getpid()}")
 
-    monkeypatch.setattr(verify_mod, "h_from_forms", boom)
+    monkeypatch.setattr(verify_mod, "residue_profile", boom)
     monkeypatch.setattr(scan_mod.os, "cpu_count", lambda: 2)  # keep 2 workers on 1 core
     assert run_cli("scan", "--from", "3", "--to", "200", "--jobs", "2") == 2
     err = capsys.readouterr().err
@@ -684,14 +749,14 @@ def test_scan_worker_error_stops_the_pool(monkeypatch, capsys):
     # one early prime fails; the command must not wait for the rest of the range
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("needs fork-started workers to inherit the patch")
-    h_from_forms = verify_mod.h_from_forms
+    real_profile = verify_mod.residue_profile
 
     def fail_at_1019(p):
         if p.value == 1019:
             raise InvariantError("forced at p = 1019")
-        return h_from_forms(p)
+        return real_profile(p)
 
-    monkeypatch.setattr(verify_mod, "h_from_forms", fail_at_1019)
+    monkeypatch.setattr(verify_mod, "residue_profile", fail_at_1019)
     monkeypatch.setattr(scan_mod.os, "cpu_count", lambda: 2)
     start = time.monotonic()
     assert run_cli("scan", "--from", "3", "--to", "150000", "--jobs", "2") == 2
@@ -704,17 +769,17 @@ def test_scan_worker_error_never_terminates_the_pool(monkeypatch, capsys):
     # can leave the pool blocked for good; the scan must close and join it
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("needs fork-started workers to inherit the patch")
-    h_from_forms = verify_mod.h_from_forms
+    real_profile = verify_mod.residue_profile
 
     def fail_at_1019(p):
         if p.value == 1019:
             raise InvariantError("forced at p = 1019")
-        return h_from_forms(p)
+        return real_profile(p)
 
     def terminate(self):
         raise AssertionError("Pool.terminate reached")
 
-    monkeypatch.setattr(verify_mod, "h_from_forms", fail_at_1019)
+    monkeypatch.setattr(verify_mod, "residue_profile", fail_at_1019)
     monkeypatch.setattr(scan_mod.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", terminate)
     assert run_cli("scan", "--from", "3", "--to", "2000", "--jobs", "2") == 2
